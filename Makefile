@@ -1,10 +1,11 @@
 # Pre-merge gate: `make check` must pass before any merge. It builds
-# everything, vets, runs the full test suite under the race detector,
+# everything, vets, runs the full test suite under the race detector (and
+# the domain round-barrier tests five more times under it),
 # smoke-runs every benchmark once so the bench harness can never rot, and
 # gives each fuzz target a short live-fuzz burst beyond its seed corpus.
-.PHONY: check build vet test bench-smoke fuzz-smoke bench netbench storagebench schedbench simbench simbench-gate scalebench scalebench-smoke domainbench domainbench-smoke domainbench-gate geobench geobench-smoke geobench-gate campaignbench campaignbench-smoke campaignbench-gate validate serve wiresmoke
+.PHONY: check build vet test bench-smoke fuzz-smoke bench netbench storagebench schedbench simbench simbench-gate scalebench scalebench-smoke domainbench domainbench-smoke domainbench-gate geobench geobench-smoke geobench-gate campaignbench campaignbench-smoke campaignbench-gate domain-stress validate serve wiresmoke
 
-check: build vet test bench-smoke fuzz-smoke scalebench-smoke domainbench-smoke geobench-smoke campaignbench-smoke wiresmoke
+check: build vet test domain-stress bench-smoke fuzz-smoke scalebench-smoke domainbench-smoke geobench-smoke campaignbench-smoke wiresmoke
 
 build:
 	go build ./...
@@ -14,6 +15,12 @@ vet:
 
 test:
 	go test -race ./...
+
+# Five race-detector passes over the domain kernel and the geo world built on
+# it: the round barrier's stress test (≥20k one-nanosecond rounds at widths
+# 2/4/8) fails on a race and times out on a lost wake-up.
+domain-stress:
+	go test -race -count=5 -run 'Domain' ./internal/sim ./internal/geo
 
 # One iteration of every benchmark — correctness of the harness, not timing.
 bench-smoke:

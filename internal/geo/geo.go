@@ -29,7 +29,8 @@
 package geo
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"time"
 
@@ -259,6 +260,7 @@ type region struct {
 
 	outSeq     []uint64 // per-destination cross-region sequence numbers
 	inbox      []message
+	spare      []message // drained inbox backing array, reused by the next boundary
 	drainArmed bool
 	drainFn    func()
 }
@@ -409,20 +411,27 @@ func (r *region) enqueue(m message) {
 }
 
 // drainInbox executes one boundary's arrivals in (source region, sequence)
-// order — a total order independent of the domain count.
+// order — a total order independent of the domain count. The inbox and its
+// spare swap backing arrays, so steady-state boundaries allocate nothing.
 func (r *region) drainInbox() {
 	r.drainArmed = false
 	msgs := r.inbox
-	r.inbox = nil
-	sort.Slice(msgs, func(i, j int) bool {
-		if msgs[i].src != msgs[j].src {
-			return msgs[i].src < msgs[j].src
-		}
-		return msgs[i].seq < msgs[j].seq
-	})
-	for _, m := range msgs {
-		m.fn()
+	r.inbox = r.spare[:0]
+	slices.SortFunc(msgs, compareMessages)
+	for i := range msgs {
+		msgs[i].fn()
+		msgs[i].fn = nil
 	}
+	r.spare = msgs[:0]
+}
+
+// compareMessages orders boundary arrivals by (source region, sequence);
+// the pair is unique per message, so the order is total.
+func compareMessages(a, b message) int {
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // scheduleHeartbeat arms the k-th health-probe tick. Ticks are foreground

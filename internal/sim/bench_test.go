@@ -223,3 +223,25 @@ func BenchmarkDomainMail(b *testing.B) {
 		b.Fatalf("delivered %d of %d", total, want)
 	}
 }
+
+// BenchmarkDomainRound prices one coordinator round at width 2: each domain
+// fires one event per 1µs window, so ns/op and allocs/op are the per-round
+// barrier cost plus two kernel steps.
+func BenchmarkDomainRound(b *testing.B) {
+	g := NewDomains(2)
+	g.SetWindow(time.Microsecond)
+	for d := 0; d < 2; d++ {
+		eng := g.Domain(d)
+		n := 0
+		var tick func()
+		tick = func() {
+			if n++; n < b.N {
+				eng.Schedule(eng.Now()+time.Microsecond, tick)
+			}
+		}
+		eng.Schedule(0, tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	g.Run()
+}

@@ -3,9 +3,11 @@ package sim
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -17,14 +19,16 @@ import (
 // engine today, with zero API churn.
 //
 // Execution proceeds in rounds. In each round every domain runs its own
-// kernel loop on its own goroutine, either to drain (window 0, the default)
-// or through the half-open virtual-time window [·, T+W) set by SetWindow;
-// a barrier then merges the round deterministically: cross-domain sends
+// kernel loop, either to drain (window 0, the default) or through the
+// half-open virtual-time window [·, T+W) set by SetWindow — domain 0 inline
+// on the coordinator goroutine, domains 1..N-1 on persistent round workers
+// that live for one Run or RunUntil call (see roundCrew); a generation
+// barrier then merges the round deterministically: cross-domain sends
 // queued during the round are delivered as events at the boundary time,
 // ordered by source domain index first and per-domain send order (which is
 // per-domain seq order) second. Two runs of the same program therefore
 // produce identical traces regardless of how the host schedules the round
-// goroutines — the same bit-identical guarantee the cell scheduler
+// workers — the same bit-identical guarantee the cell scheduler
 // (internal/core/sched) gives across experiment cells, pushed down into a
 // single cell.
 //
@@ -82,11 +86,15 @@ type Domains struct {
 	armed   []bool
 	batchFn []func()
 
-	// labels[i] is domain i's precomputed pprof label set; every round
-	// goroutine (and the worker goroutines its kernel spawns, which
-	// inherit goroutine labels) runs under it, so CPU profiles attribute
-	// samples to domains.
-	labels []pprof.LabelSet
+	// labelCtx[i] carries domain i's precomputed pprof label set. Each
+	// round goroutine installs it once per run (the coordinator, which runs
+	// member 0, takes domain 0's); proc worker goroutines its kernel spawns
+	// inherit it, so CPU profiles attribute samples to domains.
+	labelCtx []context.Context
+
+	// crew is the current run's persistent round workers (nil outside a
+	// run and for a single-domain group).
+	crew *roundCrew
 
 	rounds    int
 	delivered uint64
@@ -115,14 +123,14 @@ func NewDomains(n int) *Domains {
 		panic(fmt.Sprintf("sim: NewDomains(%d): need at least one domain", n))
 	}
 	d := &Domains{
-		members: make([]*Engine, n),
-		mail:    make([][]mailMsg, n),
-		batch:   make([][]func(), n),
-		armed:   make([]bool, n),
-		batchFn: make([]func(), n),
-		labels:  make([]pprof.LabelSet, n),
-		busy:    make([]time.Duration, n),
-		panics:  make([]any, n),
+		members:  make([]*Engine, n),
+		mail:     make([][]mailMsg, n),
+		batch:    make([][]func(), n),
+		armed:    make([]bool, n),
+		batchFn:  make([]func(), n),
+		labelCtx: make([]context.Context, n),
+		busy:     make([]time.Duration, n),
+		panics:   make([]any, n),
 	}
 	for i := range d.members {
 		e := NewEngine()
@@ -131,7 +139,7 @@ func NewDomains(n int) *Domains {
 		d.members[i] = e
 		dst := i
 		d.batchFn[i] = func() { d.deliverBatch(dst) }
-		d.labels[i] = pprof.Labels("domain", strconv.Itoa(i))
+		d.labelCtx[i] = pprof.WithLabels(context.Background(), pprof.Labels("domain", strconv.Itoa(i)))
 	}
 	return d
 }
@@ -275,24 +283,7 @@ func (d *Domains) send(src, dst int, fn func()) {
 // after the round barrier; when several domains panic in one round, the
 // lowest domain index wins — deterministically.
 func (d *Domains) Run() {
-	if d.running {
-		panic("sim: Domains.Run reentered")
-	}
-	for _, m := range d.members {
-		if m.running {
-			panic("sim: Domains.Run with a member engine already running")
-		}
-		m.stopped = false
-	}
-	d.running = true
-	start := time.Now()
-	defer func() {
-		d.wall += time.Since(start)
-		d.running = false
-		for _, m := range d.members {
-			m.releaseIdleWorkers()
-		}
-	}()
+	defer d.enter("Run")()
 
 	bounded := d.window > 0
 	// Window grid origin is virtual time zero: boundaries land on multiples
@@ -340,27 +331,10 @@ func (d *Domains) Run() {
 // positive window — SetWindow or SetAdaptiveWindow first — because an
 // unbounded round could run arbitrarily far past the deadline.
 func (d *Domains) RunUntil(deadline time.Duration) {
-	if d.running {
-		panic("sim: Domains.RunUntil reentered")
-	}
 	if d.window <= 0 {
 		panic("sim: Domains.RunUntil needs a window — call SetWindow or SetAdaptiveWindow first")
 	}
-	for _, m := range d.members {
-		if m.running {
-			panic("sim: Domains.RunUntil with a member engine already running")
-		}
-		m.stopped = false
-	}
-	d.running = true
-	start := time.Now()
-	defer func() {
-		d.wall += time.Since(start)
-		d.running = false
-		for _, m := range d.members {
-			m.releaseIdleWorkers()
-		}
-	}()
+	defer d.enter("RunUntil")()
 
 	// runWindow's limit is exclusive, so the last round runs to deadline+1:
 	// events at exactly the deadline fire, later ones do not.
@@ -399,29 +373,63 @@ func (d *Domains) RunUntil(deadline time.Duration) {
 	}
 }
 
-// runRound executes one window (or drain) round: every domain's kernel loop
-// on its own goroutine, with a full barrier before the coordinator touches
-// any shared state again. A single-domain group runs inline — no goroutine,
-// no barrier — so it is exactly the serial kernel loop.
+// enter begins a Run or RunUntil: it marks the group and its members
+// running, labels the coordinator goroutine as domain 0 and starts the round
+// crew. The returned func — deferred by the caller, so it also runs when a
+// domain panic unwinds the run — joins the crew, clears the coordinator's
+// label (as pprof.Do(context.Background(), …) would), books wall time and
+// retires parked proc workers.
+func (d *Domains) enter(what string) func() {
+	if d.running {
+		panic("sim: Domains." + what + " reentered")
+	}
+	for _, m := range d.members {
+		if m.running {
+			panic("sim: Domains." + what + " with a member engine already running")
+		}
+		m.stopped = false
+	}
+	d.running = true
+	start := time.Now()
+	pprof.SetGoroutineLabels(d.labelCtx[0])
+	if len(d.members) > 1 {
+		d.crew = d.startCrew()
+	}
+	return func() {
+		if d.crew != nil {
+			d.crew.stop()
+			d.crew = nil
+		}
+		pprof.SetGoroutineLabels(context.Background())
+		d.wall += time.Since(start)
+		d.running = false
+		for _, m := range d.members {
+			m.releaseIdleWorkers()
+		}
+	}
+}
+
+// runRound executes one window (or drain) round: member 0 inline on the
+// coordinator goroutine, members 1..N-1 on the Run's persistent round workers,
+// with a full barrier before the coordinator touches any shared state again.
+// A single-domain group has no crew — it is exactly the serial kernel loop.
 func (d *Domains) runRound(bounded bool, limit time.Duration) {
-	if len(d.members) == 1 {
+	c := d.crew
+	if c == nil {
 		d.roundOn(d.members[0], bounded, limit)
 		return
 	}
-	var wg sync.WaitGroup
-	for _, m := range d.members {
-		wg.Add(1)
-		go func(m *Engine) {
-			defer wg.Done()
-			d.roundOn(m, bounded, limit)
-		}(m)
-	}
-	wg.Wait()
+	c.bounded, c.limit = bounded, limit
+	c.pending.Store(int32(len(d.members) - 1))
+	c.release()
+	d.roundOn(d.members[0], bounded, limit)
+	c.wait()
 }
 
 // roundOn runs one domain's share of a round, capturing any panic in the
 // domain's slot (each round goroutine writes only its own index) for the
-// coordinator to re-raise deterministically after the barrier.
+// coordinator to re-raise deterministically after the barrier. The calling
+// goroutine already carries the domain's pprof label (see roundCrew).
 func (d *Domains) roundOn(m *Engine, bounded bool, limit time.Duration) {
 	t0 := time.Now()
 	defer func() {
@@ -432,16 +440,172 @@ func (d *Domains) roundOn(m *Engine, bounded bool, limit time.Duration) {
 		}
 	}()
 	m.running = true
-	// The label set makes profiles attribute kernel time (and the worker
-	// goroutines this round spawns, which inherit goroutine labels) to
-	// "domain=<index>".
-	pprof.Do(context.Background(), d.labels[m.domIndex], func(context.Context) {
-		if bounded {
-			m.runWindow(limit)
-		} else {
-			m.runToDrain()
+	if bounded {
+		m.runWindow(limit)
+	} else {
+		m.runToDrain()
+	}
+}
+
+// crewSpin bounds how many times either side of the round barrier polls
+// (yielding its P with runtime.Gosched between polls) before parking on its
+// wake channel. Rounds are tens of microseconds, so a short spin catches the
+// common case without a channel handoff; the bound keeps an idle side from
+// burning a CPU — on a GOMAXPROCS=1 host, the only one — when the other
+// side's round is long.
+const crewSpin = 256
+
+// roundCrew is the persistent worker set of one Run or RunUntil call: one
+// goroutine per member 1..N-1, started on entry and joined before return,
+// so a round costs two barrier crossings instead of N goroutine spawns.
+//
+// The barrier is two atomics. The coordinator publishes a round's
+// parameters, stores pending = N-1 and bumps gen to g; each worker runs its
+// member when it observes g and decrements pending; the coordinator, after
+// running member 0 inline, waits for pending to reach zero. Either waiting
+// side spins crewSpin times and then parks: it stores the generation it
+// waits on in its park flag, re-checks the condition, and blocks on its
+// one-slot wake channel. The waking side clears the flag with a
+// compare-and-swap against that same generation and sends a token only
+// when the swap succeeds, so every park is matched by exactly one token and
+// no wake-up is lost: a parker that finds the condition already met after
+// setting its flag either reclaims the flag or, when the waker won the
+// swap, drains the token it is owed. The generation tag matters because
+// the two sides overlap: a worker that saw round g by spinning can finish
+// it and park for g+1 before the coordinator's release loop for g reaches
+// it, and the last worker of round g can still be between its decrement
+// and its swap when the coordinator parks for g+1.
+type roundCrew struct {
+	d  *Domains
+	wg sync.WaitGroup
+
+	// Round parameters: written by the coordinator before gen is bumped,
+	// read by workers after they observe the bump.
+	bounded bool
+	limit   time.Duration
+	quit    bool
+
+	gen     atomic.Uint64
+	pending atomic.Int32
+
+	parked []atomic.Uint64 // parked[i] = g: worker i waits on wake[i] for round g
+	wake   []chan struct{} // one-slot wake tokens, per worker
+	idle   atomic.Uint64   // = g: the coordinator waits on done for round g
+	done   chan struct{}   // one-slot round-complete token
+}
+
+// startCrew launches the round workers for members 1..N-1. Each sets its
+// domain's pprof label once; proc worker goroutines its kernel spawns
+// inherit it.
+func (d *Domains) startCrew() *roundCrew {
+	n := len(d.members)
+	c := &roundCrew{
+		d:      d,
+		parked: make([]atomic.Uint64, n),
+		wake:   make([]chan struct{}, n),
+		done:   make(chan struct{}, 1),
+	}
+	c.wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		c.wake[i] = make(chan struct{}, 1)
+		go c.work(i)
+	}
+	return c
+}
+
+// work is round worker i's loop: wait for a round, run member i's share,
+// report completion. A kernel that leaves its goroutine without returning
+// (runtime.Goexit from a callback) is reported as that domain's panic, so
+// the coordinator fails the run instead of waiting on a vanished worker.
+func (c *roundCrew) work(i int) {
+	var g uint64
+	exited := true
+	defer func() {
+		if exited {
+			c.d.panics[i] = fmt.Sprintf("sim: domain %d round goroutine exited via runtime.Goexit", i)
+			c.finish(g)
 		}
-	})
+		c.wg.Done()
+	}()
+	pprof.SetGoroutineLabels(c.d.labelCtx[i])
+	m := c.d.members[i]
+	for {
+		g++
+		c.await(i, g)
+		if c.quit {
+			exited = false
+			return
+		}
+		c.d.roundOn(m, c.bounded, c.limit)
+		c.finish(g)
+	}
+}
+
+// await blocks worker i until the coordinator releases round g.
+func (c *roundCrew) await(i int, g uint64) {
+	for spin := 0; spin < crewSpin; spin++ {
+		if c.gen.Load() >= g {
+			return
+		}
+		runtime.Gosched()
+	}
+	c.parked[i].Store(g)
+	if c.gen.Load() >= g {
+		if !c.parked[i].CompareAndSwap(g, 0) {
+			<-c.wake[i] // the coordinator claimed the flag; take its token
+		}
+		return
+	}
+	<-c.wake[i]
+}
+
+// release starts a round (or, with quit set, ends the workers): bump gen and
+// hand a token to every worker parked on the new round.
+func (c *roundCrew) release() {
+	g := c.gen.Add(1)
+	for i := 1; i < len(c.wake); i++ {
+		if c.parked[i].CompareAndSwap(g, 0) {
+			c.wake[i] <- struct{}{}
+		}
+	}
+}
+
+// finish reports one worker's share of round g complete; the last one wakes
+// a coordinator parked on that round.
+func (c *roundCrew) finish(g uint64) {
+	if c.pending.Add(-1) == 0 && c.idle.CompareAndSwap(g, 0) {
+		c.done <- struct{}{}
+	}
+}
+
+// wait blocks the coordinator until every worker has finished the current
+// round. Outside a round pending is already zero and wait returns at once.
+func (c *roundCrew) wait() {
+	for spin := 0; spin < crewSpin; spin++ {
+		if c.pending.Load() == 0 {
+			return
+		}
+		runtime.Gosched()
+	}
+	g := c.gen.Load()
+	c.idle.Store(g)
+	if c.pending.Load() == 0 {
+		if !c.idle.CompareAndSwap(g, 0) {
+			<-c.done
+		}
+		return
+	}
+	<-c.done
+}
+
+// stop ends the crew: it lets any round still in flight finish (the
+// coordinator can unwind mid-round when member 0's kernel exits its
+// goroutine), releases the workers with quit set and joins them.
+func (c *roundCrew) stop() {
+	c.wait()
+	c.quit = true
+	c.release()
+	c.wg.Wait()
 }
 
 // runWindow fires the engine's events with time strictly before limit — the
@@ -629,10 +793,10 @@ type DomainStats struct {
 	// clamping layer overwrites it so reports can surface the cap instead
 	// of letting it pass silently.
 	Requested int
-	Rounds    int // coordinator rounds executed
-	Mail    uint64        // boundary mailbox events delivered
-	Busy    time.Duration // summed in-round execution time across domains
-	Wall    time.Duration // total Run wall time
+	Rounds    int           // coordinator rounds executed
+	Mail      uint64        // boundary mailbox events delivered
+	Busy      time.Duration // summed in-round execution time across domains
+	Wall      time.Duration // total Run wall time
 
 	// PerDomainBusy is each domain's summed in-round time; the spread shows
 	// whether speedup is bounded by load imbalance across domains.

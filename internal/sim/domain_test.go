@@ -385,3 +385,224 @@ func mustPanic(t *testing.T, name string, fn func()) {
 	}()
 	fn()
 }
+
+// crewGoroutines counts live round-worker goroutines in a full stack dump.
+func crewGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "(*roundCrew).work")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// waitGoroutines polls until the goroutine count is back to before and no
+// round worker remains: joined goroutines finish exiting asynchronously.
+func waitGoroutines(t *testing.T, what string, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for (runtime.NumGoroutine() > before || crewGoroutines() > 0) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if now, crew := runtime.NumGoroutine(), crewGoroutines(); now > before || crew > 0 {
+		t.Fatalf("%s: %d goroutines after, %d before, %d round workers left", what, now, before, crew)
+	}
+}
+
+// TestDomainCrewJoined: the round workers live exactly as long as one Run or
+// RunUntil call — after a normal return, a horizon return and a propagated
+// domain panic, the goroutine count is back where it started.
+func TestDomainCrewJoined(t *testing.T) {
+	for _, n := range []int{2, 4, 8} {
+		before := runtime.NumGoroutine()
+		g := NewDomains(n)
+		g.SetWindow(time.Millisecond)
+		for i := 0; i < n; i++ {
+			runPingUnit(g.Domain(i), i, 8, new([]domainTrace))
+		}
+		if crewGoroutines() != 0 {
+			t.Fatalf("n=%d: NewDomains started round workers", n)
+		}
+		g.Run()
+		waitGoroutines(t, fmt.Sprintf("n=%d Run", n), before)
+
+		g = NewDomains(n)
+		g.SetWindow(time.Millisecond)
+		for i := 0; i < n; i++ {
+			runPingUnit(g.Domain(i), i, 8, new([]domainTrace))
+		}
+		g.RunUntil(time.Second) // past the units' last step: no proc left parked
+		waitGoroutines(t, fmt.Sprintf("n=%d RunUntil", n), before)
+
+		g = NewDomains(n)
+		g.SetWindow(time.Millisecond)
+		for i := 0; i < n; i++ {
+			i := i
+			g.Domain(i).Spawn("w", func(p *Proc) {
+				p.Sleep(time.Duration(i+1) * time.Millisecond)
+				if i == n-1 {
+					panic("boom")
+				}
+			})
+		}
+		func() {
+			defer func() {
+				if r, _ := recover().(string); !strings.Contains(r, "boom") {
+					t.Fatalf("n=%d: recovered %q, want the domain's boom", n, r)
+				}
+			}()
+			g.Run()
+		}()
+		waitGoroutines(t, fmt.Sprintf("n=%d panic", n), before)
+	}
+}
+
+// rallyTrace runs balls that hop between nodes over boundary mail under a 1ns
+// window — one coordinator round per hop — and returns each ball's journey,
+// the events fired and the rounds taken. Node k lives on domain k%width;
+// each ball's route is fixed, so the journeys are width-invariant.
+func rallyTrace(width, balls, nodes, hops int) ([][]string, uint64, int) {
+	g := NewDomains(width)
+	g.SetWindow(time.Nanosecond)
+	journey := make([][]string, balls)
+	var arrive func(b, node, hop int) func()
+	arrive = func(b, node, hop int) func() {
+		return func() {
+			e := g.Domain(node % width)
+			journey[b] = append(journey[b], fmt.Sprintf("%d@%v", node, e.Now()))
+			if hop == hops {
+				return
+			}
+			// A local event between arrival and send keeps each domain's
+			// calendar busy within the round, not just its mail batch.
+			e.Schedule(e.Now(), func() {
+				next := (node + 1 + (b+hop)%(nodes-1)) % nodes
+				e.Send(next%width, arrive(b, next, hop+1))
+			})
+		}
+	}
+	for b := 0; b < balls; b++ {
+		b := b
+		e := g.Domain(b % nodes % width)
+		e.Schedule(0, func() { e.Send(b%nodes%width, arrive(b, b%nodes, 0)) })
+	}
+	g.Run()
+	return journey, g.EventsFired(), g.Rounds()
+}
+
+// TestDomainBarrierStress drives ≥20k one-nanosecond rounds of mail crossing
+// every domain and requires the d=1 journeys and event count at widths 2, 4
+// and 8. Under -race it doubles as the barrier's race and lost-wake-up
+// check: a missed wake-up hangs a round, which the deadline turns into a
+// failure.
+func TestDomainBarrierStress(t *testing.T) {
+	const balls, nodes, hops = 8, 8, 20000
+	want, wantFired, wantRounds := rallyTrace(1, balls, nodes, hops)
+	if wantRounds < hops {
+		t.Fatalf("d=1 took %d rounds, want ≥ %d", wantRounds, hops)
+	}
+	for _, n := range []int{2, 4, 8} {
+		type result struct {
+			journey [][]string
+			fired   uint64
+			rounds  int
+		}
+		ch := make(chan result, 1)
+		go func() {
+			j, f, r := rallyTrace(n, balls, nodes, hops)
+			ch <- result{j, f, r}
+		}()
+		var got result
+		select {
+		case got = <-ch:
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("n=%d: rally did not finish — round barrier hung", n)
+		}
+		if got.fired != wantFired || got.rounds != wantRounds {
+			t.Fatalf("n=%d: fired %d rounds %d, want %d and %d", n, got.fired, got.rounds, wantFired, wantRounds)
+		}
+		for b := range want {
+			if strings.Join(got.journey[b], ";") != strings.Join(want[b], ";") {
+				t.Fatalf("n=%d ball %d: journey diverges from d=1", n, b)
+			}
+		}
+	}
+}
+
+// TestDomainRunUntilThenRun: one group can run to a horizon and then to
+// drain; each call gets its own crew, and the split run matches d=1.
+func TestDomainRunUntilThenRun(t *testing.T) {
+	run := func(n int) ([][]domainTrace, []*roundCrew) {
+		g := NewDomains(n)
+		g.SetWindow(time.Millisecond)
+		traces := make([][]domainTrace, 8)
+		var crews []*roundCrew
+		for u := range traces {
+			runPingUnit(g.Domain(u%n), u, 12, &traces[u])
+		}
+		for _, at := range []time.Duration{5 * time.Millisecond, 50 * time.Millisecond} {
+			e := g.Domain(n - 1)
+			e.Schedule(at, func() { crews = append(crews, g.crew) })
+		}
+		g.RunUntil(20 * time.Millisecond)
+		if g.crew != nil {
+			t.Fatalf("n=%d: crew survived RunUntil", n)
+		}
+		g.Run()
+		if !g.Drained() {
+			t.Fatalf("n=%d: not drained", n)
+		}
+		return traces, crews
+	}
+	want, _ := run(1)
+	for _, n := range []int{2, 4, 8} {
+		got, crews := run(n)
+		for u := range want {
+			if fmt.Sprint(got[u]) != fmt.Sprint(want[u]) {
+				t.Fatalf("n=%d unit %d: split run diverges from d=1", n, u)
+			}
+		}
+		if len(crews) != 2 || crews[0] == nil || crews[1] == nil || crews[0] == crews[1] {
+			t.Fatalf("n=%d: crews %v, want two distinct per-call crews", n, crews)
+		}
+	}
+}
+
+// TestDomainRoundGoexit: a kernel callback that leaves its goroutine with
+// runtime.Goexit neither hangs the barrier nor leaks round workers. On a
+// round worker it surfaces as that domain's panic; on the coordinator
+// (domain 0 runs inline) it unwinds Run, which still joins the crew.
+func TestDomainRoundGoexit(t *testing.T) {
+	for _, dom := range []int{1, 0} {
+		before := runtime.NumGoroutine()
+		g := NewDomains(4)
+		g.SetWindow(time.Millisecond)
+		for i := 0; i < 4; i++ {
+			for _, at := range []time.Duration{time.Millisecond, 3 * time.Millisecond} {
+				g.Domain(i).Schedule(at, func() {})
+			}
+		}
+		g.Domain(dom).Schedule(2*time.Millisecond, runtime.Goexit)
+		got := make(chan any, 1)
+		go func() {
+			defer func() { got <- recover() }()
+			g.Run()
+		}()
+		var r any
+		select {
+		case r = <-got:
+		case <-time.After(time.Minute):
+			t.Fatalf("domain %d Goexit hung the round barrier", dom)
+		}
+		msg, _ := r.(string)
+		if dom != 0 && !strings.Contains(msg, "Goexit") {
+			t.Fatalf("domain %d Goexit: Run raised %v", dom, r)
+		}
+		if dom == 0 && r != nil {
+			t.Fatalf("domain 0 Goexit: Run raised %v, want a plain goroutine exit", r)
+		}
+		waitGoroutines(t, fmt.Sprintf("domain %d Goexit", dom), before)
+	}
+}

@@ -118,29 +118,36 @@ type TraceEntry struct {
 }
 
 // Replay drives a recorded arrival log through a fresh facade on a fresh
-// cloud, entirely in virtual time: each arrival is scheduled at its recorded
-// instant and dispatched exactly as the live facade would have. The
-// returned trace is a pure function of (cfg, arrivals) — replaying a
-// recording twice yields bit-identical traces, which TraceHash pins.
+// cloud, entirely in virtual time, dispatching each arrival exactly as the
+// live facade would have. The live free-running gate drains the engine
+// before it admits the next request, so a request that arrives at the
+// instant another one completes starts after that completion; Replay
+// matches it by running the engine up to each arrival's instant before
+// dispatching it (arrivals sharing an instant dispatch back to back, as one
+// gate batch does). The returned trace is a pure function of (cfg,
+// arrivals) — replaying a recording twice yields bit-identical traces,
+// which TraceHash pins.
 func Replay(cfg azure.Config, arrivals []Arrival) []TraceEntry {
 	cloud := azure.NewCloud(cfg)
+	eng := cloud.Engine
 	f := New(cloud, nil)
 	out := make([]TraceEntry, len(arrivals))
 	for i := range arrivals {
 		i := i
 		ar := arrivals[i]
-		cloud.Engine.Schedule(ar.At, func() {
-			op := parseOp(ar.Method, ar.URI, ar.Size, ar.Body)
-			f.start(op, func(r wireResult) {
-				status, code, size := r.render()
-				out[i] = TraceEntry{
-					Index: i, At: ar.At, End: cloud.Engine.Now(),
-					Status: status, Code: code, Size: size,
-				}
-			})
+		if ar.At > eng.Now() {
+			eng.RunUntil(ar.At)
+		}
+		op := parseOp(ar.Method, ar.URI, ar.Size, ar.Body)
+		f.start(op, func(r wireResult) {
+			status, code, size := r.render()
+			out[i] = TraceEntry{
+				Index: i, At: ar.At, End: eng.Now(),
+				Status: status, Code: code, Size: size,
+			}
 		})
 	}
-	cloud.Engine.Run()
+	eng.Run()
 	return out
 }
 

@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -451,5 +453,87 @@ func TestWireBadRequests(t *testing.T) {
 		if resp.StatusCode != 400 {
 			t.Errorf("%s %s: status %d, want 400", tc.method, tc.path, resp.StatusCode)
 		}
+	}
+}
+
+// TestWireReplaySameInstantArrivals pins Replay's ordering against the live
+// free-running gate. The gate drains the engine before it admits the next
+// request, so a blob GET that arrives at the instant its PUT completes runs
+// after that completion; a replay that scheduled every arrival up front ran
+// the GET first, on another pooled connection with other random streams,
+// and diverged. Two keep-alive clients loop PUT→GET on their own blobs, so
+// the recording is full of arrivals that share an instant with a pending
+// completion; every replayed status must equal the live one.
+func TestWireReplaySameInstantArrivals(t *testing.T) {
+	ts := newTestServer(t)
+	rec := NewRecorder()
+	ts.rt.Do(func() { ts.f.SetRecorder(rec) })
+
+	const clients, iters = 2, 60
+	type obs struct {
+		status int
+		code   string
+	}
+	live := make([]map[string]obs, clients)
+	done := make(chan struct{}, clients)
+	for k := 0; k < clients; k++ {
+		ts.want("PUT", fmt.Sprintf("/c%d", k), nil, 201)
+		live[k] = make(map[string]obs)
+	}
+	for k := 0; k < clients; k++ {
+		go func(k int) {
+			defer func() { done <- struct{}{} }()
+			hc := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}}
+			defer hc.CloseIdleConnections()
+			for i := 0; i < iters; i++ {
+				uri := fmt.Sprintf("/c%d/b%d", k, i)
+				for _, method := range []string{"PUT", "GET"} {
+					req, err := http.NewRequest(method, ts.srv.URL+uri, nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if method == "PUT" {
+						req.Header.Set("x-ms-size", strconv.Itoa(512+97*i))
+					}
+					resp, err := hc.Do(req)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					live[k][method+" "+uri] = obs{resp.StatusCode, resp.Header.Get("x-ms-error-code")}
+				}
+			}
+		}(k)
+	}
+	for k := 0; k < clients; k++ {
+		<-done
+	}
+
+	var arrivals []Arrival
+	ts.rt.Do(func() { arrivals = rec.Arrivals() })
+	trace := Replay(azure.Config{Seed: testSeed}, arrivals)
+	checked := 0
+	for i, e := range trace {
+		ar := arrivals[i]
+		path, _, _ := strings.Cut(ar.URI, "?")
+		var k int
+		if _, err := fmt.Sscanf(path, "/c%d", &k); err != nil || !strings.Contains(path, "/b") {
+			continue // container set-up
+		}
+		want, ok := live[k][ar.Method+" "+path]
+		if !ok {
+			t.Fatalf("arrival %d (%s %s) has no live response", i, ar.Method, ar.URI)
+		}
+		checked++
+		if e.Status != want.status || e.Code != want.code {
+			t.Errorf("arrival %d (%s %s at %v): replay (%d,%q) vs live (%d,%q)",
+				i, ar.Method, ar.URI, ar.At, e.Status, e.Code, want.status, want.code)
+		}
+	}
+	if checked != clients*iters*2 {
+		t.Fatalf("checked %d replayed requests, want %d", checked, clients*iters*2)
 	}
 }
