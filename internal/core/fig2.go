@@ -250,13 +250,24 @@ func fig2CloudOn(eng *sim.Engine, cfg Fig2Config, n int) *azure.Cloud {
 }
 
 // backfill fills the bench partition up to total entities without spending
-// simulated time.
+// simulated time. The rows are the padded entities fill-000000,
+// fill-000001, … ("fill-%06d"): copies of one template that differ only in
+// RowKey, materialised in one slab and stored by one bulk Backdoor, so a
+// ~220k-row fill costs a handful of allocations rather than four per row.
 func backfill(cloud *azure.Cloud, total, size int) {
-	have := cloud.Table.PartitionSize("bench", "part")
-	for i := 0; have+i < total; i++ {
-		e := tablesvc.PaddedEntity("part", fmt.Sprintf("fill-%06d", i), size)
-		cloud.Table.Backdoor("bench", e)
+	n := total - cloud.Table.PartitionSize("bench", "part")
+	if n <= 0 {
+		return
 	}
+	tmpl := tablesvc.PaddedEntity("part", "", size)
+	bare := tmpl.Size() - tmpl.PadBytes // size without RowKey and padding
+	slab := make([]tablesvc.Entity, n)
+	seqKeys("fill-", n, func(i int, rk string) {
+		slab[i] = *tmpl
+		slab[i].RowKey = rk
+		slab[i].PadBytes = max(0, size-bare-len(rk)) // as PaddedEntity pads
+	})
+	backdoorSlab(cloud.Table, "bench", slab)
 }
 
 // Anchors compares against the published Fig. 2 narrative.

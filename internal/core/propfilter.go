@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"azureobs/internal/azure"
 	"azureobs/internal/core/sched"
 	"azureobs/internal/fabric"
@@ -68,14 +66,16 @@ func runPropFilterLevel(cfg PropFilterConfig, n int) PropFilterPoint {
 	ccfg.Fabric.Degradation = false
 	cloud := azure.NewCloud(ccfg)
 	cloud.Table.CreateTable("bench")
-	for i := 0; i < cfg.Entities; i++ {
-		e := &tablesvc.Entity{
-			PartitionKey: "part",
-			RowKey:       fmt.Sprintf("row-%06d", i),
-			Props:        map[string]tablesvc.Prop{"A": tablesvc.IntProp(int64(i % 100))},
-		}
-		cloud.Table.Backdoor("bench", e)
+	// Row i carries {A: i%100}; the 100 property maps are shared read-only.
+	props := make([]map[string]tablesvc.Prop, 100)
+	for v := range props {
+		props[v] = map[string]tablesvc.Prop{"A": tablesvc.IntProp(int64(v))}
 	}
+	slab := make([]tablesvc.Entity, cfg.Entities)
+	seqKeys("row-", cfg.Entities, func(i int, rk string) {
+		slab[i] = tablesvc.Entity{PartitionKey: "part", RowKey: rk, Props: props[i%100]}
+	})
+	backdoorSlab(cloud.Table, "bench", slab)
 	pt := PropFilterPoint{Clients: n}
 	var okCount int
 	var okSec float64

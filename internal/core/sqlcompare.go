@@ -139,12 +139,13 @@ func runSQLCompareLevel(cfg SQLCompareConfig, n int) SQLComparePoint {
 	// Table storage side (fresh cloud so stations start cold).
 	cloud2 := azure.NewCloud(ccfg)
 	cloud2.Table.CreateTable("bench")
+	pre := make([]*tablesvc.Entity, 0, n*cfg.OpsEach)
 	for c := 0; c < n; c++ {
 		for i := 0; i < cfg.OpsEach; i++ {
-			cloud2.Table.Backdoor("bench",
-				tablesvc.PaddedEntity("part", fmt.Sprintf("pre-%d-%d", c, i), cfg.RowSize))
+			pre = append(pre, tablesvc.PaddedEntity("part", fmt.Sprintf("pre-%d-%d", c, i), cfg.RowSize))
 		}
 	}
+	cloud2.Table.Backdoor("bench", pre...)
 	var tabInsertOps, tabQueryOps int
 	var tabInsertSec, tabQuerySec float64
 	for c := 0; c < n; c++ {

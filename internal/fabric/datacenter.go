@@ -64,15 +64,20 @@ func New(eng *sim.Engine, rng *simrand.RNG, cfg Config) *Datacenter {
 		hostsPerRack: cfg.HostsPerRack,
 	}
 	qrng := dc.rng.Fork("net-quality")
-	for i := 0; i < cfg.Hosts; i++ {
-		h := &Host{
+	// Hosts and their NICs live in slabs: building a cloud is on the set-up
+	// path of every experiment cell.
+	nics := dc.net.NewLinks(cfg.Hosts, "host", "-nic", gigE)
+	hosts := make([]Host, cfg.Hosts)
+	dc.hosts = make([]*Host, cfg.Hosts)
+	for i := range hosts {
+		hosts[i] = Host{
 			ID:         i,
 			Rack:       i / cfg.HostsPerRack,
-			NIC:        dc.net.NewLink(fmt.Sprintf("host%d-nic", i), gigE),
+			NIC:        nics[i],
 			netQuality: sampleNetQuality(qrng),
 			slowdown:   1,
 		}
-		dc.hosts = append(dc.hosts, h)
+		dc.hosts[i] = &hosts[i]
 	}
 	// Fig. 4: cumulative TCP latency between two small VMs. Knots express
 	// the published cumulative histogram: ~50% at 1 ms, 75% by 2 ms,

@@ -37,6 +37,8 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"time"
 
 	"azureobs/internal/sim"
@@ -151,6 +153,36 @@ func (f *Fabric) NewLink(name string, capacity Bandwidth) *Link {
 		panic(fmt.Sprintf("netsim: link %q capacity %v", name, capacity))
 	}
 	return &Link{name: name, cap: capacity}
+}
+
+// NewLinks creates n links of one capacity (> 0), link i named
+// prefix+i+suffix (e.g. "host7-nic"). The links, their pointers and their
+// names each share one allocation, so a datacenter's NICs cost a handful of
+// allocations instead of two per link.
+func (f *Fabric) NewLinks(n int, prefix, suffix string, capacity Bandwidth) []*Link {
+	if capacity <= 0 {
+		panic(fmt.Sprintf("netsim: links %q…%q capacity %v", prefix, suffix, capacity))
+	}
+	var names strings.Builder
+	names.Grow(n * (len(prefix) + len(suffix) + 3))
+	ends := make([]int, n)
+	var digits [20]byte
+	for i := range ends {
+		names.WriteString(prefix)
+		names.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+		names.WriteString(suffix)
+		ends[i] = names.Len()
+	}
+	all := names.String()
+	links := make([]Link, n)
+	out := make([]*Link, n)
+	start := 0
+	for i := range links {
+		links[i] = Link{name: all[start:ends[i]], cap: capacity}
+		out[i] = &links[i]
+		start = ends[i]
+	}
+	return out
 }
 
 // SetLinkCapacity changes a link's nominal capacity at runtime — the chaos

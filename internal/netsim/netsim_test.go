@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -23,6 +24,35 @@ func TestSingleFlowRate(t *testing.T) {
 	}
 	if fab.ActiveFlows() != 0 {
 		t.Fatalf("flows left: %d", fab.ActiveFlows())
+	}
+}
+
+// TestNewLinks: a batch of links is named prefix+i+suffix, carries the
+// capacity, and each link is its own (one transfer loads only its link).
+func TestNewLinks(t *testing.T) {
+	eng := sim.NewEngine()
+	fab := NewFabric(eng)
+	links := fab.NewLinks(257, "host", "-nic", 10*MBps)
+	if len(links) != 257 {
+		t.Fatalf("got %d links, want 257", len(links))
+	}
+	for i, l := range links {
+		if want := fmt.Sprintf("host%d-nic", i); l.Name() != want || l.Capacity() != 10*MBps {
+			t.Fatalf("link %d = %q @ %v, want %q @ %v", i, l.Name(), l.Capacity(), want, 10*MBps)
+		}
+	}
+	var elapsed time.Duration
+	eng.Spawn("tx", func(p *sim.Proc) {
+		elapsed = fab.Transfer(p, 100*MB, links[3])
+	})
+	eng.Spawn("probe", func(p *sim.Proc) {
+		if links[3].Flows() != 1 || links[2].Flows() != 0 || links[4].Flows() != 0 {
+			t.Errorf("flows on links 2/3/4 = %d/%d/%d, want 0/1/0", links[2].Flows(), links[3].Flows(), links[4].Flows())
+		}
+	})
+	eng.Run()
+	if elapsed != 10*time.Second {
+		t.Fatalf("elapsed = %v, want 10s", elapsed)
 	}
 }
 

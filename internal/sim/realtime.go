@@ -129,7 +129,6 @@ func (rt *RealTime) Serve() {
 
 		for i := range batch {
 			batch[i].fn()
-			close(batch[i].done)
 		}
 		switch rt.mode {
 		case FreeRun:
@@ -139,6 +138,12 @@ func (rt *RealTime) Serve() {
 			}
 		case Paced:
 			rt.eng.RunUntil(virtEpoch + time.Since(wallEpoch))
+		}
+		// Release the submitters only now: in free-run mode Do promises that
+		// the work fn started has drained, and callers that read state
+		// outside the engine (an operation poll) rely on it.
+		for i := range batch {
+			close(batch[i].done)
 		}
 		if closed {
 			if len(batch) == 0 {

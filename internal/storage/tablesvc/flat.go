@@ -1,8 +1,6 @@
 package tablesvc
 
 import (
-	"sort"
-
 	"azureobs/internal/sim"
 	"azureobs/internal/simrand"
 	"azureobs/internal/storage/reqpath"
@@ -297,10 +295,8 @@ func (r *WriteFlat) finish(err error) {
 // → scan registration → a zero-length yield (so a burst of simultaneous
 // scans registers before any member prices its cost) → the lognormal scan
 // draw → either the ServerTimeout burn and an OperationTimedOut reply, or
-// the scan sleep and collection. One deliberate divergence: the blocking
-// body walks the partition map in Go's randomised order, which a wire
-// response would observably leak, so the flat twin collects in ascending
-// RowKey order.
+// the scan sleep and collection. Both paths return matches in ascending
+// RowKey order, so no response leaks Go's randomised map order.
 type QueryFlat struct {
 	svc *Service
 	a   *sim.Actor
@@ -309,7 +305,6 @@ type QueryFlat struct {
 	table, pk string
 	pred      func(*Entity) bool
 	part      map[string]*Entity
-	out       []*Entity
 	done      func([]*Entity, error)
 
 	afterYield   func() // cached: runs after the registration yield
@@ -348,15 +343,15 @@ func (r *QueryFlat) Begin(a *sim.Actor, table, pk string, pred func(*Entity) boo
 	r.a, r.table, r.pk, r.pred = a, table, pk, pred
 	r.c.Begin(r.svc.pl, "table.QueryFilter", a.Now())
 	if _, _, err := r.c.AdmitPre(); err != nil {
-		r.finish(err)
+		r.finish(nil, err)
 		return
 	}
 	if err := r.c.AdmitPost(); err != nil {
-		r.finish(err)
+		r.finish(nil, err)
 		return
 	}
 	if r.part = r.svc.partition(table, pk); r.part == nil {
-		r.finish(r.c.Failf(storerr.CodeNotFound, "table %s", table))
+		r.finish(nil, r.c.Failf(storerr.CodeNotFound, "table %s", table))
 		return
 	}
 	r.svc.scans++
@@ -382,32 +377,19 @@ func (r *QueryFlat) yielded() {
 func (r *QueryFlat) timedOut() {
 	n := len(r.part)
 	r.svc.scans--
-	r.finish(r.c.TimeoutErrf("scan of %d entities timed out", n))
+	r.finish(nil, r.c.TimeoutErrf("scan of %d entities timed out", n))
 }
 
 func (r *QueryFlat) scanned() {
-	rks := make([]string, 0, len(r.part))
-	for rk := range r.part {
-		rks = append(rks, rk)
-	}
-	sort.Strings(rks)
-	for _, rk := range rks {
-		if e := r.part[rk]; r.pred == nil || r.pred(e) {
-			r.out = append(r.out, e)
-		}
-	}
+	out := matches(r.part, r.pred)
 	r.svc.scans--
-	r.finish(nil)
+	r.finish(out, nil)
 }
 
-func (r *QueryFlat) finish(err error) {
-	out := r.out
-	if err != nil {
-		out = nil
-	}
+func (r *QueryFlat) finish(out []*Entity, err error) {
 	r.c.Finish(r.a.Now(), err)
 	// Clear the in-flight state before the callback so the continuation can
 	// issue the next scan immediately.
-	r.a, r.part, r.pred, r.out = nil, nil, nil, nil
+	r.a, r.part, r.pred = nil, nil, nil
 	r.done(out, err)
 }

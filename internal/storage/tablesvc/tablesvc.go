@@ -15,6 +15,9 @@
 package tablesvc
 
 import (
+	"maps"
+	"slices"
+	"strings"
 	"time"
 
 	"azureobs/internal/netsim"
@@ -61,8 +64,11 @@ func (p Prop) size() int {
 type Entity struct {
 	PartitionKey string
 	RowKey       string
-	Props        map[string]Prop
-	PadBytes     int
+	// Props is read-only once the entity is built: many entities may share
+	// one map (every PaddedEntity does). To change an entity's properties,
+	// assign it a new map; never write through the old one.
+	Props    map[string]Prop
+	PadBytes int
 }
 
 // Size returns the entity's payload size in bytes.
@@ -74,18 +80,24 @@ func (e *Entity) Size() int {
 	return n
 }
 
+// paperProps is the property set of every PaddedEntity. It is shared and
+// read-only (see Entity.Props).
+var paperProps = map[string]Prop{
+	"A": IntProp(1),
+	"B": IntProp(2),
+	"C": StrProp("fixed"),
+}
+
 // PaddedEntity builds a paper-style test entity {int, int, String, String}
 // padded to the requested total size — the protocol of Section 3.2. The
-// fourth (sizing) property is tracked by size only.
+// fourth (sizing) property is tracked by size only. Every padded entity
+// points at one shared, read-only {A:1, B:2, C:"fixed"} property map, so
+// building one costs a single allocation.
 func PaddedEntity(pk, rk string, totalSize int) *Entity {
 	e := &Entity{
 		PartitionKey: pk,
 		RowKey:       rk,
-		Props: map[string]Prop{
-			"A": IntProp(1),
-			"B": IntProp(2),
-			"C": StrProp("fixed"),
-		},
+		Props:        paperProps,
 	}
 	if pad := totalSize - e.Size(); pad > 0 {
 		e.PadBytes = pad
@@ -236,12 +248,36 @@ func (s *Service) CreateTable(name string) {
 	}
 }
 
-// Backdoor inserts an entity instantly, bypassing the timed request path.
+// Backdoor inserts entities instantly, bypassing the timed request path.
 // It is a setup helper for experiments that need a pre-populated partition
 // (e.g. the ~220k-entity partition of Section 3.2).
-func (s *Service) Backdoor(table string, e *Entity) {
+//
+// The result is that of one call per entity in order: a later entity with
+// the same (PartitionKey, RowKey) overwrites an earlier one. The partition
+// is looked up once per run of equal PartitionKeys, and a run longer than
+// the partition it fills rebuilds that partition's map presized for the
+// whole run, so a bulk fill never rehashes as it grows.
+func (s *Service) Backdoor(table string, es ...*Entity) {
 	s.CreateTable(table)
-	s.partition(table, e.PartitionKey)[e.RowKey] = e
+	t := s.tables[table]
+	for i := 0; i < len(es); {
+		pk := es[i].PartitionKey
+		j := i + 1
+		for j < len(es) && es[j].PartitionKey == pk {
+			j++
+		}
+		part := t[pk]
+		if run := j - i; run > len(part) {
+			grown := make(map[string]*Entity, len(part)+run)
+			maps.Copy(grown, part)
+			part = grown
+			t[pk] = part
+		}
+		for _, e := range es[i:j] {
+			part[e.RowKey] = e
+		}
+		i = j
+	}
 }
 
 // PartitionSize returns the entity count of one partition.
@@ -383,7 +419,8 @@ func (s *Service) Delete(p *sim.Proc, table, pk, rk string) error {
 // QueryFilter scans a partition evaluating pred on every entity — the
 // non-indexed property-filter query the paper warns against (Section 6.1):
 // scan latency grows with partition size and concurrent scanners, and
-// requests exceeding the server timeout fail.
+// requests exceeding the server timeout fail. Matches come back in
+// ascending RowKey order.
 func (s *Service) QueryFilter(p *sim.Proc, table, pk string, pred func(*Entity) bool) (out []*Entity, err error) {
 	err = s.pl.Do(p, "table.QueryFilter", func(c *reqpath.Ctx) error {
 		part := s.partition(table, pk)
@@ -402,15 +439,25 @@ func (s *Service) QueryFilter(p *sim.Proc, table, pk string, pred func(*Entity) 
 			return c.Timeout("scan of %d entities timed out", len(part))
 		}
 		c.P.Sleep(lat)
-		for _, e := range part {
-			if pred(e) {
-				out = append(out, e)
-			}
-		}
+		out = matches(part, pred)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// matches collects the entities of part that pred accepts (all of them for
+// a nil pred) in ascending RowKey order. Only the matches are sorted, not
+// the whole partition.
+func matches(part map[string]*Entity, pred func(*Entity) bool) []*Entity {
+	var out []*Entity
+	for _, e := range part {
+		if pred == nil || pred(e) {
+			out = append(out, e)
+		}
+	}
+	slices.SortFunc(out, func(a, b *Entity) int { return strings.Compare(a.RowKey, b.RowKey) })
+	return out
 }

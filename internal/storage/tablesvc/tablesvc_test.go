@@ -321,6 +321,63 @@ func TestPartitionSize(t *testing.T) {
 	}
 }
 
+// TestBackdoorBulkMatchesSequential: one bulk Backdoor call over mixed
+// partition keys, repeated row keys, a partition that already holds
+// entities and a run long enough to rebuild a partition leaves exactly the
+// partitions that one call per entity leaves — later duplicates overwrite
+// earlier ones.
+func TestBackdoorBulkMatchesSequential(t *testing.T) {
+	var es []*Entity
+	for i := 0; i < 300; i++ {
+		pk := []string{"a", "a", "b", "c", "a", "b"}[i%6]
+		es = append(es, PaddedEntity(pk, fmt.Sprintf("r%03d", i%250), 256+i))
+	}
+	// A run longer than its partition: the bulk path rebuilds that
+	// partition's map, which must keep what it already held.
+	for j := 0; j < 150; j++ {
+		es = append(es, PaddedEntity("b", fmt.Sprintf("r%03d", 2*j), 4096+j))
+	}
+	pre := []*Entity{PaddedEntity("b", "r001", 64), PaddedEntity("b", "old", 64)}
+	seed := func(s *Service) {
+		for _, e := range pre {
+			s.Backdoor("t", e)
+		}
+	}
+
+	_, seq := newSvc()
+	seed(seq)
+	for _, e := range es {
+		seq.Backdoor("t", e)
+	}
+	_, bulk := newSvc()
+	seed(bulk)
+	bulk.Backdoor("t", es...)
+	bulk.Backdoor("t") // an empty batch is a no-op
+
+	if len(bulk.tables["t"]) != len(seq.tables["t"]) {
+		t.Fatalf("partitions: bulk %d, sequential %d", len(bulk.tables["t"]), len(seq.tables["t"]))
+	}
+	for pk, want := range seq.tables["t"] {
+		got := bulk.tables["t"][pk]
+		if len(got) != len(want) {
+			t.Fatalf("partition %q: bulk %d entities, sequential %d", pk, len(got), len(want))
+		}
+		for rk, e := range want {
+			if got[rk] != e {
+				t.Fatalf("partition %q row %q: bulk holds %p (size %d), sequential %p (size %d)",
+					pk, rk, got[rk], got[rk].Size(), e, e.Size())
+			}
+		}
+	}
+	// Entities 0 and 250 both land on a/r000.
+	if got := bulk.tables["t"]["a"]["r000"].Size(); got != 256+250 {
+		t.Fatalf("duplicate row a/r000 has size %d, want the later entity's %d", got, 256+250)
+	}
+	if bulk.PartitionSize("t", "b") != seq.PartitionSize("t", "b") || bulk.tables["t"]["b"]["old"] == nil {
+		t.Fatal("bulk fill lost the partition's existing entities")
+	}
+}
+
 // TestFaultRatesMatchConfig: the reqpath admission faults added to the table
 // service fire at their configured probabilities (5σ binomial tolerance).
 func TestFaultRatesMatchConfig(t *testing.T) {
