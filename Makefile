@@ -21,6 +21,7 @@ test:
 # 2/4/8) fails on a race and times out on a lost wake-up.
 domain-stress:
 	go test -race -count=5 -run 'Domain' ./internal/sim ./internal/geo
+	go test -race -count=2 -run 'ShardedCampaign(Pinned|Teardown)' ./internal/modis
 
 # One iteration of every benchmark — correctness of the harness, not timing.
 bench-smoke:

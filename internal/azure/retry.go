@@ -57,26 +57,13 @@ func NoRetry() RetryPolicy { return RetryPolicy{MaxAttempts: 1} }
 // nil on eventual success, the last error otherwise. Non-retryable errors
 // (conflicts, not-found) return immediately.
 func (rp RetryPolicy) Do(p *sim.Proc, op func() error) error {
-	attempts := rp.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
+	attempts := rp.attempts()
 	backoff := rp.Backoff
 	var err error
 	for i := 0; i < attempts; i++ {
 		if i > 0 && backoff > 0 {
-			wait := backoff
-			if rp.Jitter > 0 {
-				if rp.Rand == nil {
-					panic("azure: RetryPolicy.Jitter set without a Rand stream")
-				}
-				wait = time.Duration(float64(wait) * (1 - rp.Jitter*rp.Rand.Float64()))
-			}
-			p.Sleep(wait)
-			backoff = time.Duration(float64(backoff) * rp.Multiplier)
-			if rp.MaxBackoff > 0 && backoff > rp.MaxBackoff {
-				backoff = rp.MaxBackoff
-			}
+			p.Sleep(rp.wait(backoff))
+			backoff = rp.grow(backoff)
 		}
 		err = op()
 		if err == nil {
@@ -87,4 +74,105 @@ func (rp RetryPolicy) Do(p *sim.Proc, op func() error) error {
 		}
 	}
 	return err
+}
+
+// attempts returns the bounded try count (at least one).
+func (rp RetryPolicy) attempts() int {
+	if rp.MaxAttempts < 1 {
+		return 1
+	}
+	return rp.MaxAttempts
+}
+
+// wait returns the sleep before a retry whose nominal backoff is backoff,
+// drawing the jitter when the policy has one.
+func (rp RetryPolicy) wait(backoff time.Duration) time.Duration {
+	if rp.Jitter <= 0 {
+		return backoff
+	}
+	if rp.Rand == nil {
+		panic("azure: RetryPolicy.Jitter set without a Rand stream")
+	}
+	return time.Duration(float64(backoff) * (1 - rp.Jitter*rp.Rand.Float64()))
+}
+
+// grow returns the backoff for the attempt after one that waited backoff.
+func (rp RetryPolicy) grow(backoff time.Duration) time.Duration {
+	backoff = time.Duration(float64(backoff) * rp.Multiplier)
+	if rp.MaxBackoff > 0 && backoff > rp.MaxBackoff {
+		backoff = rp.MaxBackoff
+	}
+	return backoff
+}
+
+// RetryFlat is the flat-actor form of RetryPolicy.Do: caller-owned state
+// that runs one retried operation as continuations on an actor. It tries,
+// sleeps and draws jitter exactly where Do does, from the same policy and
+// stream, so a flat retry loop and a blocking one produce the same trace.
+// One operation may be in flight per RetryFlat; a caller reuses it for every
+// operation, so a steady-state retry allocates nothing.
+type RetryFlat struct {
+	rp RetryPolicy
+	a  *sim.Actor
+
+	op   func()          // issues one attempt, which reports through Result
+	done func(err error) // receives the outcome; nil when none is in flight
+
+	tries   int // attempts allowed
+	made    int // attempts made so far
+	backoff time.Duration
+	attempt func() // cached: the backoff sleep's continuation
+}
+
+// Init prepares an embedded (zero-value) RetryFlat for policy rp.
+func (f *RetryFlat) Init(rp RetryPolicy) {
+	f.rp = rp
+	f.attempt = f.try
+}
+
+// Begin runs op under the policy on actor a. op must issue one attempt and
+// report its outcome through Result — inline or from a later continuation.
+// done receives nil on eventual success, the last error otherwise, at the
+// instant Do would have returned it.
+func (f *RetryFlat) Begin(a *sim.Actor, op func(), done func(err error)) {
+	if f.done != nil {
+		panic("azure: RetryFlat already has an operation in flight")
+	}
+	f.a, f.op, f.done = a, op, done
+	f.tries, f.made, f.backoff = f.rp.attempts(), 0, f.rp.Backoff
+	f.try()
+}
+
+func (f *RetryFlat) try() {
+	f.made++
+	f.op()
+}
+
+// Result reports the outcome of the attempt op issued: it finishes the
+// operation, or sleeps the backoff and issues the next attempt.
+func (f *RetryFlat) Result(err error) {
+	if err != nil && storerr.IsRetryable(err) && f.made < f.tries {
+		if f.backoff <= 0 {
+			f.try()
+			return
+		}
+		wait := f.rp.wait(f.backoff)
+		f.backoff = f.rp.grow(f.backoff)
+		f.a.Sleep(wait, f.attempt)
+		return
+	}
+	done := f.done
+	f.Abort()
+	done(err)
+}
+
+// Attempts returns how many attempts the current (or last finished)
+// operation made.
+func (f *RetryFlat) Attempts() int { return f.made }
+
+// Abort drops the operation in flight, if any, without calling done — the
+// unwind of an actor killed mid-operation (a killed Do just stops). The
+// attempt count is kept.
+func (f *RetryFlat) Abort() {
+	f.a, f.op, f.done = nil, nil, nil
 }

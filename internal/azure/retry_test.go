@@ -1,6 +1,7 @@
 package azure
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -125,4 +126,93 @@ func TestRetryJitterValidation(t *testing.T) {
 	mustPanic("nil rng", func() {
 		DefaultRetryPolicy().WithJitter(0.5, nil)
 	})
+}
+
+// TestRetryFlatMatchesDo is the retry twin pin: over scripted error
+// sequences, RetryFlat on an actor makes the same attempts at the same
+// instants, returns the same error, and draws the same jitter as Do on a
+// process. Attempts alternate between reporting inline and after a sleep,
+// the two shapes a flat storage op takes (an admission fault completes
+// inline; a station visit completes from a later event).
+func TestRetryFlatMatchesDo(t *testing.T) {
+	busy := storerr.New(storerr.CodeServerBusy, "op", "")
+	conflict := storerr.New(storerr.CodeConflict, "op", "")
+	scripts := map[string][]error{
+		"first-try":       {nil},
+		"success-on-3":    {busy, busy, nil},
+		"non-retryable":   {busy, conflict, busy},
+		"exhausted":       {busy, busy, busy, busy, busy},
+		"retry-then-last": {busy, busy, busy, nil},
+	}
+	policies := map[string]func(*simrand.RNG) RetryPolicy{
+		"default-jitter": func(r *simrand.RNG) RetryPolicy { return DefaultRetryPolicy().WithJitter(0.5, r) },
+		"capped": func(*simrand.RNG) RetryPolicy {
+			return RetryPolicy{MaxAttempts: 5, Backoff: time.Second, Multiplier: 3, MaxBackoff: 4 * time.Second}
+		},
+		"no-backoff": func(*simrand.RNG) RetryPolicy { return RetryPolicy{MaxAttempts: 3} },
+		"no-retry":   func(*simrand.RNG) RetryPolicy { return NoRetry() },
+	}
+	type outcome struct {
+		at       []time.Duration // attempt instants
+		err      error
+		doneAt   time.Duration
+		fired    uint64
+		nextDraw float64 // the jitter stream's next value afterwards
+	}
+	run := func(script []error, mk func(*simrand.RNG) RetryPolicy, flat bool) outcome {
+		eng := sim.NewEngine()
+		rng := simrand.New(9).Fork("retry")
+		rp := mk(rng)
+		var o outcome
+		attemptErr := func() error {
+			o.at = append(o.at, eng.Now())
+			return script[len(o.at)-1]
+		}
+		if flat {
+			var a sim.Actor
+			a.Bind(eng, "flat")
+			var f RetryFlat
+			f.Init(rp)
+			op := func() {
+				err := attemptErr()
+				if len(o.at)%2 == 0 {
+					f.Result(err)
+					return
+				}
+				a.Sleep(time.Millisecond, func() { f.Result(err) })
+			}
+			a.Go(func() {
+				f.Begin(&a, op, func(err error) {
+					o.err, o.doneAt = err, eng.Now()
+					if f.Attempts() != len(o.at) {
+						t.Errorf("Attempts() = %d, made %d", f.Attempts(), len(o.at))
+					}
+					a.Finish()
+				})
+			})
+		} else {
+			eng.Spawn("blocking", func(p *sim.Proc) {
+				o.err = rp.Do(p, func() error {
+					err := attemptErr()
+					if len(o.at)%2 != 0 {
+						p.Sleep(time.Millisecond)
+					}
+					return err
+				})
+				o.doneAt = p.Now()
+			})
+		}
+		eng.Run()
+		o.fired = eng.EventsFired()
+		o.nextDraw = rng.Float64()
+		return o
+	}
+	for sname, script := range scripts {
+		for pname, mk := range policies {
+			blocking, flat := run(script, mk, false), run(script, mk, true)
+			if !reflect.DeepEqual(blocking, flat) {
+				t.Errorf("%s under %s: Do %+v != RetryFlat %+v", sname, pname, blocking, flat)
+			}
+		}
+	}
 }

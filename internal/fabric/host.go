@@ -119,31 +119,52 @@ func DefaultDegradation() DegradationConfig {
 	}
 }
 
-// startDegradation runs the episode process forever on the engine.
+// startDegradation runs the episode process forever on the engine, as a
+// daemon actor.
 func (dc *Datacenter) startDegradation(cfg DegradationConfig) {
-	rng := dc.rng.Fork("degradation")
-	dc.eng.SpawnDaemon("degradation", func(p *sim.Proc) {
-		for {
-			gap := simrand.Duration(simrand.Exponential{Rate: 1 / cfg.MeanInterarrival.Seconds()}, rng)
-			p.Sleep(gap)
-			frac := simrand.Uniform{Lo: cfg.FracLo, Hi: cfg.FracHi}.Sample(rng)
-			slow := simrand.Uniform{Lo: cfg.SlowLo, Hi: cfg.SlowHi}.Sample(rng)
-			dur := simrand.Duration(simrand.Uniform{
-				Lo: cfg.DurLo.Seconds(), Hi: cfg.DurHi.Seconds()}, rng)
-			victims := dc.pickHosts(rng, frac)
-			for _, h := range victims {
-				h.slowdown = slow
+	d := &degradation{dc: dc, cfg: cfg, rng: dc.rng.Fork("degradation")}
+	d.onset = d.episode
+	d.BindDaemon(dc.eng, "degradation")
+	d.Go(d.wait)
+}
+
+// degradation is the episode process: Poisson onsets, each slowing a random
+// fraction of hosts for a bounded duration.
+type degradation struct {
+	sim.Actor
+	dc    *Datacenter
+	cfg   DegradationConfig
+	rng   *simrand.RNG
+	onset func() // cached: the inter-arrival sleep's continuation
+}
+
+// wait draws the gap to the next onset and sleeps it.
+func (d *degradation) wait() {
+	gap := simrand.Duration(simrand.Exponential{Rate: 1 / d.cfg.MeanInterarrival.Seconds()}, d.rng)
+	d.Sleep(gap, d.onset)
+}
+
+// episode strikes the victims, schedules their recovery and waits for the
+// next onset.
+func (d *degradation) episode() {
+	cfg, rng := d.cfg, d.rng
+	frac := simrand.Uniform{Lo: cfg.FracLo, Hi: cfg.FracHi}.Sample(rng)
+	slow := simrand.Uniform{Lo: cfg.SlowLo, Hi: cfg.SlowHi}.Sample(rng)
+	dur := simrand.Duration(simrand.Uniform{
+		Lo: cfg.DurLo.Seconds(), Hi: cfg.DurHi.Seconds()}, rng)
+	victims := d.dc.pickHosts(rng, frac)
+	for _, h := range victims {
+		h.slowdown = slow
+	}
+	d.dc.episodes++
+	d.dc.eng.AfterDaemon(dur, func() {
+		for _, h := range victims {
+			if h.slowdown == slow {
+				h.slowdown = 1
 			}
-			dc.episodes++
-			p.Engine().AfterDaemon(dur, func() {
-				for _, h := range victims {
-					if h.slowdown == slow {
-						h.slowdown = 1
-					}
-				}
-			})
 		}
 	})
+	d.wait()
 }
 
 // pickHosts samples ⌈frac×N⌉ distinct hosts.

@@ -254,9 +254,10 @@ type Campaign struct {
 // taskQueue couples the real Azure queue service with an instant wakeup
 // channel so idle workers do not busy-poll across months of simulated time.
 // (The production system polled; the token queue reproduces the same FIFO
-// delivery without 10^8 empty polls.) do is the owner's storage-operation
-// wrapper (the campaign's in legacy mode, a shard's in sharded mode), so
-// retries and errors are tallied against the right books.
+// delivery without 10^8 empty polls.) do is the legacy campaign's
+// storage-operation wrapper, used by the blocking enqueue/dequeue; sharded
+// shards drive the same state from flat actors (sharded.go) and leave it
+// nil.
 type taskQueue struct {
 	do     func(p *sim.Proc, name string, op func() error) error
 	cloud  *azure.Cloud
@@ -492,7 +493,9 @@ func (c *Campaign) RecentRecords() []oplog.Record {
 	return out
 }
 
-// Run executes the campaign for its configured horizon.
+// Run executes the campaign for its configured horizon. Once the books are
+// closed it tears the engines down, retiring every process still parked at
+// the horizon, so a finished campaign holds no goroutines. Run once.
 func (c *Campaign) Run() *Stats {
 	if c.group != nil {
 		return c.runSharded()
@@ -521,6 +524,7 @@ func (c *Campaign) Run() *Stats {
 	if c.chaos != nil {
 		c.chaos.Report().Violations = c.cloud.Engine.Invariants().ViolationCount()
 	}
+	c.cloud.Engine.Teardown()
 	return c.Stats
 }
 

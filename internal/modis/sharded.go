@@ -29,10 +29,22 @@ package modis
 // it — at the executing worker — but its verdicts (VMTimeout retries), like
 // all completion traffic, travel to domain 0 as notes, so re-enqueue always
 // crosses the window boundary and lands via round-robin on a fresh shard.
+//
+// The shard side runs on flat actors, not processes: each dispatcher,
+// worker (replacement workers too) and fabric re-acquisition is a
+// sim.Actor state machine that issues its queue operations through
+// queuesvc.ReqFlat under an azure.RetryFlat. The actors schedule kernel
+// events where the legacy campaign's process bodies (modis.go) do and draw
+// from their streams in the same order, so a shard's trace is the one those
+// bodies would produce — TestShardedCampaignPinned holds fingerprints
+// recorded from the process form. A host crash kills a worker with
+// Actor.Kill, whose unwind replays the process form's deferred repairs
+// (DESIGN.md §11).
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"azureobs/internal/azure"
@@ -41,6 +53,7 @@ import (
 	"azureobs/internal/oplog"
 	"azureobs/internal/sim"
 	"azureobs/internal/simrand"
+	"azureobs/internal/storage/queuesvc"
 	"azureobs/internal/storage/storerr"
 )
 
@@ -83,6 +96,8 @@ type taskNote struct {
 // fleet on its own cloud, with its own task queue, RNG streams, stats and
 // (under chaos) fault engine. Fields mirror the legacy Campaign's
 // worker-side state; only this shard's engine goroutine touches them.
+// workers holds each slot's current VM, fleet its worker actor (nil between
+// a crash and the replacement).
 type shard struct {
 	camp *Campaign
 	idx  int
@@ -98,7 +113,7 @@ type shard struct {
 	dispatchQ *sim.Queue[*Task]
 	workers   []*fabric.VM
 
-	procs     []*sim.Proc
+	fleet     []*shardWorker
 	current   []*Task
 	execStart []time.Duration
 	vmSlot    map[*fabric.VM]int
@@ -197,7 +212,6 @@ func (c *Campaign) newShard(s int, dcfg fabric.DegradationConfig, ch *chaos.Conf
 		workers:   cloud.Controller.ReadyFleet(n, fabric.Worker, fabric.Small),
 	}
 	sh.queue = &taskQueue{
-		do:     sh.storageDo,
 		cloud:  cloud,
 		q:      cloud.Queue.CreateQueue("modis-tasks"),
 		tokens: sim.NewQueue[uint64](),
@@ -232,21 +246,19 @@ func (c *Campaign) runSharded() *Stats {
 	if c.cfg.DomainStats != nil {
 		c.cfg.DomainStats.Add(c.DomainStats())
 	}
+	c.group.Teardown()
 	return c.Stats
 }
 
-// start spawns the shard's actors on its engine: the dispatcher daemon
+// start launches the shard's actors on its engine: the dispatcher daemon
 // (mail → real queue), the worker fleet, and the chaos engine.
 func (sh *shard) start() {
-	sh.eng.SpawnDaemon(fmt.Sprintf("shard%d/dispatcher", sh.idx), sh.dispatcherLoop)
-	sh.procs = make([]*sim.Proc, len(sh.workers))
+	sh.startDispatcher()
+	sh.fleet = make([]*shardWorker, len(sh.workers))
 	sh.current = make([]*Task, len(sh.workers))
 	sh.execStart = make([]time.Duration, len(sh.workers))
 	for i, vm := range sh.workers {
-		vm, i := vm, i
-		sh.procs[i] = sh.eng.Spawn(fmt.Sprintf("shard%d/worker%d", sh.idx, i), func(p *sim.Proc) {
-			sh.workerLoop(p, vm, i, sh.rng.ForkN("worker", i))
-		})
+		sh.fleet[i] = sh.startWorker(fmt.Sprintf("shard%d/worker%d", sh.idx, i), vm, i, sh.rng.ForkN("worker", i))
 	}
 	if sh.chaos != nil {
 		sh.vmSlot = make(map[*fabric.VM]int, len(sh.workers))
@@ -272,12 +284,66 @@ func (c *Campaign) dispatchTask(t *Task) {
 // it to the dispatcher daemon, which owns the storage side of enqueueing.
 func (sh *shard) recvDispatch(t *Task) { sh.dispatchQ.Put(t) }
 
-// dispatcherLoop drains mailed tasks into the shard's real Azure queue —
-// the storage operation the coordinator cannot perform from an event.
-func (sh *shard) dispatcherLoop(p *sim.Proc) {
-	for {
-		sh.queue.enqueue(p, sh.dispatchQ.Get(p))
+// shardDispatcher drains mailed tasks into the shard's real Azure queue —
+// the storage operation the coordinator cannot perform from an event. It is
+// the flat form of a loop of dispatchQ.Get and taskQueue.enqueue.
+type shardDispatcher struct {
+	sim.Actor
+	sh    *shard
+	req   queuesvc.ReqFlat
+	retry azure.RetryFlat
+
+	task *Task  // the task being enqueued
+	body string // its queue message body
+
+	// Cached continuations.
+	onTask func(*Task)
+	addOp  func()
+	onAdd  func(uint64, error)
+	added  func(error)
+}
+
+// startDispatcher builds the shard's dispatcher daemon and starts it.
+func (sh *shard) startDispatcher() {
+	d := &shardDispatcher{sh: sh}
+	d.req.Init(sh.cloud.Queue)
+	d.retry.Init(sh.retry)
+	d.onTask = d.enqueue
+	d.addOp = d.issueAdd
+	d.onAdd = d.addResult
+	d.added = d.addDone
+	d.BindDaemon(sh.eng, fmt.Sprintf("shard%d/dispatcher", sh.idx))
+	d.Go(d.next)
+}
+
+// next waits for the next mailed task.
+func (d *shardDispatcher) next() { d.sh.dispatchQ.GetFlat(&d.Actor, d.onTask) }
+
+// enqueue registers the task and adds its message under the retry policy.
+func (d *shardDispatcher) enqueue(t *Task) {
+	d.task, d.body = t, strconv.FormatUint(t.ID, 10)
+	d.sh.queue.tasks[t.ID] = t
+	d.retry.Begin(&d.Actor, d.addOp, d.added)
+}
+
+func (d *shardDispatcher) issueAdd() {
+	d.req.BeginAdd(&d.Actor, d.sh.queue.q, d.body, 1024, d.onAdd)
+}
+
+func (d *shardDispatcher) addResult(_ uint64, err error) { d.retry.Result(err) }
+
+// addDone wakes one worker with a token, or drops a task whose Add failed
+// terminally (its stage never drains — the hazard the status tables catch).
+func (d *shardDispatcher) addDone(err error) {
+	t := d.task
+	d.task, d.body = nil, ""
+	d.sh.tally("queue.Add", d.retry.Attempts(), err)
+	if err != nil {
+		delete(d.sh.queue.tasks, t.ID)
+	} else {
+		d.sh.queue.tokens.Put(t.ID)
 	}
+	d.next()
 }
 
 // sendNote mails a notification to the coordinator. Shard kernel context
@@ -346,61 +412,181 @@ func (c *Campaign) applyFinish(now time.Duration, task *Task) {
 	req.tasks[task.Type] = nil
 }
 
-// storageDo mirrors Campaign.storageDo against the shard's books.
-func (sh *shard) storageDo(p *sim.Proc, name string, op func() error) error {
-	attempts := 0
-	err := sh.retry.Do(p, func() error {
-		attempts++
-		return op()
-	})
+// tally books one finished storage operation against the shard, as
+// Campaign.storageDo does: attempts beyond the first are retries, and a
+// terminal error is counted under "op/code".
+func (sh *shard) tally(name string, attempts int, err error) {
 	if attempts > 1 {
 		sh.stats.StorageRetries += uint64(attempts - 1)
 	}
 	if err != nil {
 		sh.stats.StorageErrors.Inc(name+"/"+string(storerr.CodeOf(err)), 1)
 	}
-	return err
 }
 
-// workerLoop pulls tasks from the shard queue forever; RunUntil bounds the
-// campaign, a host crash kills the process.
-func (sh *shard) workerLoop(p *sim.Proc, vm *fabric.VM, slot int, rng *simrand.RNG) {
-	for {
-		task := sh.queue.dequeue(p)
-		sh.execute(p, vm, task, rng, slot)
+// shardWorker is one worker of the shard fleet: the flat form of the legacy
+// workerLoop — taskQueue.dequeue, tryReceive, execute — pulling tasks until
+// the horizon or a host crash kills it. Its continuations are cached at
+// start, so a steady-state execution allocates no closures.
+type shardWorker struct {
+	sim.Actor
+	sh   *shard
+	vm   *fabric.VM
+	slot int
+	rng  *simrand.RNG
+
+	req   queuesvc.ReqFlat
+	retry azure.RetryFlat
+
+	// tok is the wakeup token being spent and credited whether a kill must
+	// put it back (tryReceive's unwind); msg/rcpt/ok hold the last Receive.
+	tok      uint64
+	credited bool
+	msg      *queuesvc.Message
+	rcpt     queuesvc.Receipt
+	ok       bool
+
+	// The execution in progress.
+	task      *Task
+	day       int
+	threshold time.Duration
+	timedOut  bool
+
+	// Cached continuations.
+	onToken  func(uint64)
+	recvOp   func()
+	onRecv   func(*queuesvc.Message, queuesvc.Receipt, bool, error)
+	received func(error)
+	delOp    func()
+	result   func(error)
+	deleted  func(error)
+	executed func()
+	unwindFn func()
+}
+
+// startWorker builds a worker for VM vm in slot and starts it.
+func (sh *shard) startWorker(name string, vm *fabric.VM, slot int, rng *simrand.RNG) *shardWorker {
+	w := &shardWorker{sh: sh, vm: vm, slot: slot, rng: rng}
+	w.req.Init(sh.cloud.Queue)
+	w.retry.Init(sh.retry)
+	w.onToken = w.gotToken
+	w.recvOp = w.issueReceive
+	w.onRecv = w.recvResult
+	w.received = w.receiveDone
+	w.delOp = w.issueDelete
+	w.result = w.retry.Result
+	w.deleted = w.deleteDone
+	w.executed = w.executeDone
+	w.unwindFn = w.unwind
+	w.Bind(sh.eng, name)
+	w.Go(w.dequeue)
+	return w
+}
+
+// dequeue waits for a wakeup token.
+func (w *shardWorker) dequeue() { w.sh.queue.tokens.GetFlat(&w.Actor, w.onToken) }
+
+// gotToken starts spending a token on a receive.
+func (w *shardWorker) gotToken(tok uint64) {
+	w.tok, w.credited = tok, true
+	w.receive()
+}
+
+func (w *shardWorker) receive() { w.retry.Begin(&w.Actor, w.recvOp, w.received) }
+
+func (w *shardWorker) issueReceive() {
+	w.req.BeginReceive(&w.Actor, w.sh.queue.q, 2*time.Hour, w.onRecv)
+}
+
+func (w *shardWorker) recvResult(msg *queuesvc.Message, rcpt queuesvc.Receipt, ok bool, err error) {
+	w.msg, w.rcpt, w.ok = msg, rcpt, ok
+	w.retry.Result(err)
+}
+
+// receiveDone deletes the received message, or gives the token up: a failed
+// receive strands its message until the visibility backstop, and an empty
+// one means the token raced a message already consumed.
+func (w *shardWorker) receiveDone(err error) {
+	w.sh.tally("queue.Receive", w.retry.Attempts(), err)
+	if err != nil || !w.ok {
+		w.credited = false
+		w.dequeue()
+		return
 	}
+	w.retry.Begin(&w.Actor, w.delOp, w.deleted)
 }
 
-// execute runs one task execution on a shard VM — the same model as the
-// legacy Campaign.execute, with outcomes tallied in the shard's books and
-// the completion/retry verdict mailed to the coordinator instead of applied
-// in place.
-func (sh *shard) execute(p *sim.Proc, vm *fabric.VM, task *Task, rng *simrand.RNG, slot int) {
+func (w *shardWorker) issueDelete() {
+	w.req.BeginDelete(&w.Actor, w.sh.queue.q, w.rcpt, w.result)
+}
+
+// deleteDone resolves the received message to its task. A failed delete
+// means the message reappears after its visibility window — the
+// stale-redelivery hazard of Section 5.2 — and a stale redelivery of a task
+// that already ran is discarded and the token spent on another receive.
+func (w *shardWorker) deleteDone(err error) {
+	w.sh.tally("queue.Delete", w.retry.Attempts(), err)
+	msg := w.msg
+	w.msg = nil
+	id, perr := strconv.ParseUint(msg.Body, 10, 64)
+	if perr != nil {
+		panic(perr)
+	}
+	b := w.sh.queue
+	t, live := b.tasks[id]
+	if !live {
+		w.receive()
+		return
+	}
+	delete(b.tasks, id)
+	w.credited = false
+	b.delivered++
+	w.execute(t)
+}
+
+// execute runs one task execution on the worker's VM — the same model as
+// the legacy Campaign.execute, with outcomes tallied in the shard's books
+// and the completion/retry verdict mailed to the coordinator instead of
+// applied in place.
+func (w *shardWorker) execute(task *Task) {
+	sh, rng := w.sh, w.rng
+	now := w.Now()
 	task.Attempts++
-	sh.current[slot] = task
-	sh.execStart[slot] = p.Now()
-	day := int(p.Now() / (24 * time.Hour))
-	if day >= len(sh.stats.DailyExecs) {
-		day = len(sh.stats.DailyExecs) - 1
+	w.task = task
+	sh.current[w.slot] = task
+	sh.execStart[w.slot] = now
+	w.day = int(now / (24 * time.Hour))
+	if w.day >= len(sh.stats.DailyExecs) {
+		w.day = len(sh.stats.DailyExecs) - 1
 	}
 
 	overhead := simrand.Duration(simrand.LogNormalMeanCV(0.4, 0.3), rng)
 	noise := simrand.LogNormalMeanCV(1, 0.08).Sample(rng)
-	dilated := time.Duration(float64(task.Work) * vm.Host.Slowdown() * noise)
-	threshold := time.Duration(sh.camp.cfg.KillMultiple * float64(task.Work) *
+	dilated := time.Duration(float64(task.Work) * w.vm.Host.Slowdown() * noise)
+	w.threshold = time.Duration(sh.camp.cfg.KillMultiple * float64(task.Work) *
 		simrand.Uniform{Lo: sh.camp.cfg.DetectLo, Hi: sh.camp.cfg.DetectHi}.Sample(rng))
 
+	w.timedOut = dilated > w.threshold
+	if w.timedOut {
+		w.Sleep(w.threshold+overhead, w.executed)
+	} else {
+		w.Sleep(dilated+overhead, w.executed)
+	}
+}
+
+// executeDone records the execution's outcome, mails its verdict and goes
+// back for the next token.
+func (w *shardWorker) executeDone() {
+	sh, task, day := w.sh, w.task, w.day
+	w.task = nil
+	sh.current[w.slot] = nil
 	var outcome Outcome
-	if dilated > threshold {
-		p.Sleep(threshold + overhead)
-		sh.current[slot] = nil
+	if w.timedOut {
 		outcome = OutcomeVMTimeout
 		sh.stats.DailyTimeouts[day]++
-		sh.stats.recordKill(threshold, !vm.Host.Degraded())
+		sh.stats.recordKill(w.threshold, !w.vm.Host.Degraded())
 	} else {
-		p.Sleep(dilated + overhead)
-		sh.current[slot] = nil
-		outcome = sampleOutcome(task.Type, rng)
+		outcome = sampleOutcome(task.Type, w.rng)
 	}
 	if task.lost && sh.chaos != nil && outcome.Completes() {
 		sh.chaos.Report().AddWorkRecovered(task.Work)
@@ -414,9 +600,9 @@ func (sh *shard) execute(p *sim.Proc, vm *fabric.VM, task *Task, rng *simrand.RN
 		sev = oplog.Error
 	}
 	sh.log.Emit(oplog.Record{
-		Time:     p.Now(),
+		Time:     w.Now(),
 		Severity: sev,
-		Source:   vm.Name,
+		Source:   w.vm.Name,
 		Category: task.Type.String(),
 		Event:    string(outcome),
 		Detail:   fmt.Sprintf("task %d attempt %d", task.ID, task.Attempts),
@@ -431,12 +617,27 @@ func (sh *shard) execute(p *sim.Proc, vm *fabric.VM, task *Task, rng *simrand.RN
 		// coordinator (partial products, as in the real system).
 		sh.sendNote(noteFinish, task)
 	}
+	w.dequeue()
+}
+
+// unwind is the kill unwind: it undoes what a killed worker process's
+// deferred calls undo, innermost first — the station visit in progress
+// loses its client, then a token still being spent goes back to the token
+// queue so its message reaches another worker. An execution in progress
+// needs nothing: the crash handler already re-routed its task.
+func (w *shardWorker) unwind() {
+	w.req.Abort()
+	w.retry.Abort()
+	if w.credited {
+		w.credited = false
+		w.sh.queue.tokens.Put(w.tok)
+	}
 }
 
 // onHostDown is the shard's crash handler (kernel context, fired inside
 // CrashHost): kill the worker, mail the interrupted task back to the
 // coordinator for re-enqueue — the cross-domain re-enqueue path — and
-// schedule the fabric re-acquisition of a replacement.
+// start the fabric re-acquisition of a replacement.
 func (sh *shard) onHostDown(_ *fabric.Host, failed []*fabric.VM) {
 	for _, vm := range failed {
 		slot, ok := sh.vmSlot[vm]
@@ -451,25 +652,39 @@ func (sh *shard) onHostDown(_ *fabric.Host, failed []*fabric.VM) {
 			sh.stats.CrashAborted++
 			sh.sendNote(noteCrash, t)
 		}
-		if sh.procs[slot] != nil {
-			sh.procs[slot].Kill()
-			sh.procs[slot] = nil
+		if w := sh.fleet[slot]; w != nil {
+			w.Kill(w.unwindFn)
+			sh.fleet[slot] = nil
 		}
 		sh.respawns++
-		gen := sh.respawns
-		sh.eng.Spawn(fmt.Sprintf("shard%d/reacquire/%d", sh.idx, gen), func(p *sim.Proc) {
-			p.Sleep(simrand.Duration(simrand.Uniform{
-				Lo: (10 * time.Minute).Seconds(), Hi: (45 * time.Minute).Seconds()}, sh.reacqRNG))
-			nvm := sh.cloud.Controller.ReplacementVM(fabric.Worker, fabric.Small)
-			sh.workers[slot] = nvm
-			sh.vmSlot[nvm] = slot
-			sh.stats.ReplacementVMs++
-			rng := sh.rng.ForkN("worker-r", gen)
-			sh.procs[slot] = sh.eng.Spawn(fmt.Sprintf("shard%d/worker%d/r%d", sh.idx, slot, gen), func(p2 *sim.Proc) {
-				sh.workerLoop(p2, nvm, slot, rng)
-			})
-		})
+		r := &reacquisition{sh: sh, slot: slot, gen: sh.respawns}
+		r.Bind(sh.eng, fmt.Sprintf("shard%d/reacquire/%d", sh.idx, r.gen))
+		r.Go(r.wait)
 	}
+}
+
+// reacquisition is the fabric re-acquiring a crashed worker's capacity: a
+// delay, then a replacement VM and a fresh worker in the same slot.
+type reacquisition struct {
+	sim.Actor
+	sh        *shard
+	slot, gen int
+}
+
+func (r *reacquisition) wait() {
+	r.Sleep(simrand.Duration(simrand.Uniform{
+		Lo: (10 * time.Minute).Seconds(), Hi: (45 * time.Minute).Seconds()}, r.sh.reacqRNG), r.replace)
+}
+
+func (r *reacquisition) replace() {
+	sh := r.sh
+	nvm := sh.cloud.Controller.ReplacementVM(fabric.Worker, fabric.Small)
+	sh.workers[r.slot] = nvm
+	sh.vmSlot[nvm] = r.slot
+	sh.stats.ReplacementVMs++
+	sh.fleet[r.slot] = sh.startWorker(fmt.Sprintf("shard%d/worker%d/r%d", sh.idx, r.slot, r.gen),
+		nvm, r.slot, sh.rng.ForkN("worker-r", r.gen))
+	r.Finish()
 }
 
 // mergeShardStats folds every shard's books into the coordinator's Stats,

@@ -409,6 +409,18 @@ func (d *Domains) enter(what string) func() {
 	}
 }
 
+// Teardown retires every process still suspended on any member (see
+// Engine.Teardown). Call it after Run or RunUntil has returned and the
+// group's results have been read.
+func (d *Domains) Teardown() {
+	if d.running {
+		panic("sim: Domains.Teardown during a run")
+	}
+	for _, m := range d.members {
+		m.Teardown()
+	}
+}
+
 // runRound executes one window (or drain) round: member 0 inline on the
 // coordinator goroutine, members 1..N-1 on the Run's persistent round workers,
 // with a full barrier before the coordinator touches any shared state again.

@@ -248,6 +248,10 @@ type Engine struct {
 	// abandoned engine leaks no goroutines.
 	idle []*worker
 
+	// busy heads the intrusive list of workers executing a started,
+	// unfinished process, for Teardown.
+	busy *worker
+
 	// Worker-pool accounting, exposed for the simbench observability record
 	// and pool-leak guards.
 	procsSpawned   uint64

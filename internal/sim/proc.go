@@ -68,6 +68,12 @@ type worker struct {
 	task   chan workItem // kernel -> worker: run a process body
 	resume chan resumeMsg
 	yield  chan struct{}
+
+	// p is the process the worker is executing, nil while idle; prev/next
+	// link busy workers into their engine's list, which Teardown walks.
+	// Intrusive and on the pooled worker, so spawning allocates nothing.
+	p          *Proc
+	prev, next *worker
 }
 
 type workItem struct {
@@ -220,10 +226,12 @@ func (p *Proc) start() {
 	p.state = procRunning
 	w := e.getWorker()
 	p.w = w
+	e.linkBusy(w, p)
 	w.task <- workItem{p: p, fn: fn}
 	<-w.yield
 	if p.state == procFinished {
 		p.w = nil
+		e.unlinkBusy(w)
 		e.parkWorker(p, w)
 	}
 	e.checkPanic()
@@ -241,9 +249,66 @@ func (p *Proc) wakeup() {
 	<-w.yield
 	if p.state == procFinished {
 		p.w = nil
+		e.unlinkBusy(w)
 		e.parkWorker(p, w)
 	}
 	e.checkPanic()
+}
+
+// linkBusy records that w now executes p, adding it to the engine's busy
+// list. Kernel context.
+func (e *Engine) linkBusy(w *worker, p *Proc) {
+	w.p = p
+	w.next = e.busy
+	if e.busy != nil {
+		e.busy.prev = w
+	}
+	e.busy = w
+}
+
+// unlinkBusy takes w, whose process finished, off the busy list. Kernel
+// context.
+func (e *Engine) unlinkBusy(w *worker) {
+	if w.prev != nil {
+		w.prev.next = w.next
+	} else {
+		e.busy = w.next
+	}
+	if w.next != nil {
+		w.next.prev = w.prev
+	}
+	w.p, w.prev, w.next = nil, nil, nil
+}
+
+// Teardown retires every process still suspended on the engine, so an
+// engine abandoned after a horizon-bounded run leaks no goroutines — and,
+// through them, none of the simulated world their stacks reference. Each
+// one is killed and resumed at once, in kernel context, instead of through
+// the calendar: its body unwinds through the same deferred calls a Kill
+// runs (station detach, queue re-put, token re-put), then its worker
+// retires. Processes woken by those unwinds are retired in turn. Processes
+// whose start event has not fired hold no goroutine and are left alone, as
+// are flat actors, which hold none either. Call it from outside any run,
+// once the run's results have been read: the engine should not run again.
+func (e *Engine) Teardown() {
+	if e.running {
+		panic("sim: Teardown during a run")
+	}
+	for e.busy != nil {
+		p := e.busy.p
+		p.killed = true
+		if p.wake != nil {
+			e.Cancel(p.wake)
+			p.wake = nil
+		}
+		if p.detach != nil {
+			p.detach()
+			p.detach = nil
+		}
+		p.wakeKill = true
+		p.wakeup()
+	}
+	e.releaseIdleWorkers()
 }
 
 // suspend parks the process until some kernel-context actor schedules its

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -158,5 +159,56 @@ func TestQueueCounters(t *testing.T) {
 	e.Run()
 	if q.Puts() != 3 || q.Gets() != 2 || q.Len() != 1 {
 		t.Fatalf("Puts=%d Gets=%d Len=%d, want 3,2,1", q.Puts(), q.Gets(), q.Len())
+	}
+}
+
+// TestFifoMatchesSlice drives the queue's backing FIFO through a random mix
+// of push, pop, pushFront and removeAt against a plain slice model, and
+// checks that steady push/pop traffic stops growing the backing array.
+func TestFifoMatchesSlice(t *testing.T) {
+	var f fifo[int]
+	var model []int
+	r := uint64(1)
+	next := func(n int) int {
+		r = r*6364136223846793005 + 1442695040888963407
+		return int((r >> 33) % uint64(n))
+	}
+	for i := 0; i < 20000; i++ {
+		switch op := next(10); {
+		case op < 4:
+			f.push(i)
+			model = append(model, i)
+		case op < 8 && len(model) > 0:
+			if got := f.pop(); got != model[0] {
+				t.Fatalf("step %d: pop %d, want %d", i, got, model[0])
+			}
+			model = model[1:]
+		case op == 8:
+			f.pushFront(-i)
+			model = append([]int{-i}, model...)
+		case op == 9 && len(model) > 0:
+			j := next(len(model))
+			f.removeAt(j)
+			model = append(model[:j:j], model[j+1:]...)
+		}
+		if f.len() != len(model) || (len(model) > 0 && !reflect.DeepEqual(f.live(), model)) {
+			t.Fatalf("step %d: fifo %v, model %v", i, f.live(), model)
+		}
+	}
+	f = fifo[int]{}
+	for i := 0; i < 8; i++ {
+		f.push(i)
+	}
+	for i := 0; i < 100; i++ { // warm-up: at most one growth
+		f.push(i)
+		f.pop()
+	}
+	c := cap(f.buf)
+	for i := 0; i < 10000; i++ {
+		f.push(i)
+		f.pop()
+	}
+	if cap(f.buf) != c || c > 16 {
+		t.Fatalf("steady push/pop grew the backing array: cap %d -> %d", c, cap(f.buf))
 	}
 }

@@ -108,7 +108,15 @@ func (s *Signal) WaitFlat(a *Actor, then func()) {
 	a.arm(then)
 	a.waiter = sigWaiter{a: a}
 	s.waiters = append(s.waiters, &a.waiter)
+	a.park = s
 }
+
+// detachFlat takes a killed actor off the waiter list, as a killed
+// process's detach does.
+func (s *Signal) detachFlat(a *Actor) { s.remove(&a.waiter) }
+
+// unwindFlat has nothing to undo: a fire carries no payload.
+func (s *Signal) unwindFlat(*Actor) {}
 
 func (s *Signal) remove(w *sigWaiter) {
 	for i, q := range s.waiters {

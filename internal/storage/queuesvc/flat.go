@@ -5,6 +5,7 @@ import (
 
 	"azureobs/internal/sim"
 	"azureobs/internal/storage/reqpath"
+	"azureobs/internal/storage/station"
 	"azureobs/internal/storage/storerr"
 )
 
@@ -42,6 +43,10 @@ type ReqFlat struct {
 	visibility time.Duration
 	m          *Message
 	rcpt       Receipt
+
+	// visiting is the station whose visit is in progress (between
+	// BeginVisit and EndVisit), nil otherwise; Abort detaches from it.
+	visiting *station.Station
 
 	addDone  func(id uint64, err error)
 	peekDone func(msg *Message, ok bool, err error)
@@ -81,7 +86,7 @@ func (r *ReqFlat) BeginAdd(a *sim.Actor, q *Queue, body string, size int, done f
 	if !r.begin(a, qAdd, "queue.Add") {
 		return
 	}
-	r.a.Sleep(r.svc.add.BeginVisit(r.c.UploadCost(size)), r.afterVisit)
+	r.visit(r.svc.add, r.c.UploadCost(size))
 }
 
 // BeginPeek issues one flat Peek on actor a, as Peek: ok=false with a nil
@@ -92,7 +97,7 @@ func (r *ReqFlat) BeginPeek(a *sim.Actor, q *Queue, done func(msg *Message, ok b
 	if !r.begin(a, qPeek, "queue.Peek") {
 		return
 	}
-	r.a.Sleep(r.svc.peek.BeginVisit(0), r.afterVisit)
+	r.visit(r.svc.peek, 0)
 }
 
 // BeginReceive issues one flat Receive on actor a, as Receive (visibility
@@ -109,7 +114,7 @@ func (r *ReqFlat) BeginReceive(a *sim.Actor, q *Queue, visibility time.Duration,
 	if !r.begin(a, qReceive, "queue.Receive") {
 		return
 	}
-	r.a.Sleep(r.svc.receive.BeginVisit(0), r.afterVisit)
+	r.visit(r.svc.receive, 0)
 }
 
 // BeginDelete issues one flat Delete on actor a, as Delete.
@@ -119,7 +124,7 @@ func (r *ReqFlat) BeginDelete(a *sim.Actor, q *Queue, rcpt Receipt, done func(er
 	if !r.begin(a, qDelete, "queue.Delete") {
 		return
 	}
-	r.a.Sleep(r.svc.del.BeginVisit(0), r.afterVisit)
+	r.visit(r.svc.del, 0)
 }
 
 // begin runs admission; it reports whether the request is still alive.
@@ -140,8 +145,15 @@ func (r *ReqFlat) begin(a *sim.Actor, op qop, name string) bool {
 	return true
 }
 
+// visit starts the op's station visit and sleeps its service time.
+func (r *ReqFlat) visit(st *station.Station, extra time.Duration) {
+	r.visiting = st
+	r.a.Sleep(st.BeginVisit(extra), r.afterVisit)
+}
+
 func (r *ReqFlat) visited() {
 	s, q, now := r.svc, r.q, r.a.Now()
+	r.visiting = nil
 	switch r.op {
 	case qAdd:
 		s.add.EndVisit()
@@ -193,15 +205,35 @@ func (r *ReqFlat) visited() {
 
 func (r *ReqFlat) downloaded() { r.finish(nil) }
 
+// Abort drops the request in flight, if any — the unwind of an actor killed
+// mid-request. It undoes what a killed blocking op's deferred calls undo: a
+// station visit in progress loses its client (no op is counted), and
+// nothing else happens — no hook sees the request and no callback runs,
+// since a killed Do never reaches either. A message a killed Receive already
+// hid stays hidden until its visibility window lapses, as in the blocking
+// form.
+func (r *ReqFlat) Abort() {
+	if r.visiting != nil {
+		r.visiting.Detach()
+		r.visiting = nil
+	}
+	r.clear()
+}
+
+// clear resets the in-flight state.
+func (r *ReqFlat) clear() {
+	r.a, r.q, r.m = nil, nil, nil
+	r.body, r.rcpt = "", Receipt{}
+	r.addDone, r.peekDone, r.recvDone, r.delDone = nil, nil, nil, nil
+}
+
 func (r *ReqFlat) finish(err error) {
 	op, m, rcpt := r.op, r.m, r.rcpt
 	addDone, peekDone, recvDone, delDone := r.addDone, r.peekDone, r.recvDone, r.delDone
 	r.c.Finish(r.a.Now(), err)
 	// Clear the in-flight state before the callback so the continuation can
 	// issue the next op immediately.
-	r.a, r.q, r.m = nil, nil, nil
-	r.body, r.rcpt = "", Receipt{}
-	r.addDone, r.peekDone, r.recvDone, r.delDone = nil, nil, nil, nil
+	r.clear()
 	switch op {
 	case qAdd:
 		var id uint64

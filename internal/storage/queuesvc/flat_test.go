@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"azureobs/internal/sim"
+	"azureobs/internal/storage/reqpath"
 	"azureobs/internal/storage/storerr"
 )
 
@@ -168,5 +169,83 @@ func TestReceiptWireRoundTrip(t *testing.T) {
 		if _, ok := ParseReceipt(bad); ok {
 			t.Fatalf("ParseReceipt(%q) accepted", bad)
 		}
+	}
+}
+
+// TestReqFlatKillMatchesBlocking is the mid-request kill twin: a consumer
+// killed inside a Receive — during the station visit, and during the
+// payload download after it — leaves the same world whether it was a
+// process (Proc.Kill, deferred station detach) or an actor (Actor.Kill with
+// ReqFlat.Abort as its unwind). A bystander receiving after the kill draws
+// its service time at the station's concurrency, so its completion instant
+// checks the detach happened at the same point; no hook sees the killed
+// request, and no op is counted for it.
+func TestReqFlatKillMatchesBlocking(t *testing.T) {
+	type world struct {
+		fired            uint64
+		end              time.Duration
+		hooks            int
+		attached         int
+		ops              uint64
+		bystander        qObs
+		queued, dequeues int
+	}
+	run := func(flat bool, killAt time.Duration) world {
+		eng, svc := newSvc()
+		q := svc.CreateQueue("q")
+		q.Prefill(2, 10<<20) // 10 MiB payloads: a ~0.8 s download
+		var w world
+		svc.Pipeline().AddHook(func(reqpath.Event) { w.hooks++ })
+		var kill func()
+		if flat {
+			var a sim.Actor
+			a.Bind(eng, "victim")
+			r := svc.NewReqFlat()
+			a.Go(func() {
+				r.BeginReceive(&a, q, time.Minute, func(*Message, Receipt, bool, error) {
+					t.Error("killed receive completed")
+					a.Finish()
+				})
+			})
+			kill = func() { a.Kill(r.Abort) }
+		} else {
+			p := eng.Spawn("victim", func(p *sim.Proc) {
+				svc.Receive(p, q, time.Minute)
+				t.Error("killed receive completed")
+			})
+			kill = p.Kill
+		}
+		eng.Schedule(killAt, kill)
+		eng.SpawnAt(killAt, "bystander", func(p *sim.Proc) {
+			m, _, ok, err := svc.Receive(p, q, time.Minute)
+			w.bystander = qObs{p.Now(), storerr.CodeOf(err), msgID(m), ok}
+		})
+		eng.Run()
+		w.fired, w.end = eng.EventsFired(), eng.Now()
+		w.attached, w.ops = svc.receive.Attached(), svc.receive.Ops()
+		w.queued = q.Len()
+		for _, m := range q.byID {
+			w.dequeues += m.Dequeues
+		}
+		return w
+	}
+	// A visit-phase kill counts only the bystander's op; a download-phase
+	// kill also counts the victim's finished visit.
+	for killAt, ops := range map[time.Duration]uint64{10 * time.Millisecond: 1, 500 * time.Millisecond: 2} {
+		proc, flat := run(false, killAt), run(true, killAt)
+		if proc != flat {
+			t.Fatalf("kill at %v: blocking %+v != flat %+v", killAt, proc, flat)
+		}
+		if proc.hooks != 1 || proc.ops != ops || proc.attached != 0 {
+			t.Fatalf("kill at %v: hooks %d ops %d attached %d, want 1 %d 0", killAt, proc.hooks, proc.ops, proc.attached, ops)
+		}
+	}
+	// The download-phase kill leaves its message hidden, so the bystander
+	// takes the other one; the visit-phase kill hides nothing.
+	if w := run(true, 500*time.Millisecond); w.dequeues != 2 {
+		t.Fatalf("download-phase kill: %d dequeues, want 2", w.dequeues)
+	}
+	if w := run(true, 10*time.Millisecond); w.dequeues != 1 || w.bystander.id != 1 {
+		t.Fatalf("visit-phase kill: %d dequeues, bystander got %d, want 1 and message 1", w.dequeues, w.bystander.id)
 	}
 }
