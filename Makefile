@@ -72,8 +72,8 @@ scalebench-smoke:
 
 # Domain-sharded kernel ladder (domains 1/2/4/8 over the fig1 cell, fig2
 # sweep, and a 100k-client scale cell) refreshing the checked-in
-# BENCH_domains.json; every rung — including the legacy single-engine rows
-# and the windowed coordinator row — must produce the identical trace hash.
+# BENCH_domains.json; every rung — including the windowed coordinator row —
+# must produce the identical trace hash.
 domainbench:
 	go run ./cmd/azbench -run domainbench
 

@@ -35,7 +35,7 @@ import (
 // domainPoint is one (suite, domains) measurement.
 type domainPoint struct {
 	Suite       string  `json:"suite"`
-	Domains     int     `json:"domains"` // 0 = legacy single-engine path
+	Domains     int     `json:"domains"`
 	WindowSec   float64 `json:"window_sec,omitempty"`
 	WallMS      float64 `json:"wall_ms"`
 	BusyMS      float64 `json:"busy_ms,omitempty"`
@@ -87,8 +87,7 @@ func domainFig1Config(seed uint64, quick bool) core.Fig1Config {
 	}
 }
 
-// runDomainFig1 executes the fig1-cell suite at one domain count
-// (0 = legacy path) and returns its trace hash and coordinator accounting.
+// runDomainFig1 executes the fig1-cell suite at one domain count and returns its trace hash and coordinator accounting.
 func runDomainFig1(seed uint64, quick bool, domains int) (string, *sim.DomainAccum, time.Duration) {
 	cfg := domainFig1Config(seed, quick)
 	var acc sim.DomainAccum
@@ -191,9 +190,8 @@ func runDomainBench(seed uint64, quick bool, out string) int {
 		Seed:       seed,
 		Quick:      quick,
 		Note: "domain-sharded kernel ladder: each suite's cell re-run at domains ∈ " +
-			"{1,2,4,8} ({1,2} quick), with identical trace_hash required at every rung " +
-			"(domains=0 rows are the legacy single-engine path, included in the equality " +
-			"check). fig1-cell shards (level,run,direction) rounds, fig2-sweep runs " +
+			"{1,2,4,8} ({1,2} quick), with identical trace_hash required at every rung. " +
+			"fig1-cell shards (level,run,direction) rounds, fig2-sweep runs " +
 			"levels under driver-process phase sequencing, scale-cell splits one " +
 			"closed-loop rung into 8 fixed shard clouds placed round-robin on the group " +
 			"(the window_sec row runs the same cell under the bounded virtual-time " +
@@ -213,7 +211,6 @@ func runDomainBench(seed uint64, quick bool, out string) int {
 	fail := false
 	addSuite := func(name string, run func(d int, window time.Duration) domainPoint) {
 		var pts []domainPoint
-		legacyIdx := -1
 		baseWall := 0.0
 		for _, d := range ladder {
 			pt := run(d, 0)
@@ -233,23 +230,11 @@ func runDomainBench(seed uint64, quick bool, out string) int {
 			pts = append(pts, pt)
 			fmt.Printf("domainbench: %-10s domains=%d window=%.0fs %5.1f ms wall  rounds %d  trace %s\n",
 				name, maxD, pt.WindowSec, pt.WallMS, pt.Rounds, pt.TraceHash)
-		} else {
-			// fig1/fig2 also pin the legacy single-engine path against the
-			// domain ladder, tying the hashes back to the goldens' world.
-			pt := run(0, 0)
-			legacyIdx = len(pts)
-			pts = append(pts, pt)
-			fmt.Printf("domainbench: %-10s legacy    %8.1f ms wall  trace %s\n",
-				name, pt.WallMS, pt.TraceHash)
 		}
 		for _, pt := range pts[1:] {
 			if pt.TraceHash != pts[0].TraceHash {
-				kind := fmt.Sprintf("domains=%d", pt.Domains)
-				if legacyIdx >= 0 && pt.Domains == 0 {
-					kind = "legacy path"
-				}
-				fmt.Fprintf(os.Stderr, "domainbench: FAIL %s: trace diverged at %s: %s vs %s\n",
-					name, kind, pt.TraceHash, pts[0].TraceHash)
+				fmt.Fprintf(os.Stderr, "domainbench: FAIL %s: trace diverged at domains=%d: %s vs %s\n",
+					name, pt.Domains, pt.TraceHash, pts[0].TraceHash)
 				fail = true
 			}
 		}

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"strings"
 	"testing"
 
 	"azureobs/internal/sim"
@@ -39,14 +42,63 @@ func TestRunFig8GeoQuick(t *testing.T) {
 
 func TestRunGeoBenchQuick(t *testing.T) {
 	sim.SetDefaultInvariants(true)
-	out := t.TempDir() + "/BENCH_geo.json"
+	dir := t.TempDir()
+	out := dir + "/BENCH_geo.json"
 	if code := run([]string{"-run", "geobench", "-quick", "-benchout", out}); code != 0 {
 		t.Fatalf("azbench -run geobench -quick exited %d", code)
 	}
-	// The capture is its own gate baseline: the gate must accept the file
-	// it just wrote (hash equality and the 10% wall band).
-	if code := run([]string{"-run", "geobench", "-gate", out}); code != 0 {
-		t.Fatalf("azbench -run geobench -gate exited %d", code)
+	buf, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Gate the fresh capture against copies whose fig8geo-cell d=1 row is
+	// rewritten, so both gate outcomes are checked without depending on how
+	// fast this host re-times the cell: a 1000x slower baseline must pass,
+	// a near-zero wall must fail the 10% band, and a flipped trace hash must
+	// fail even with that slack.
+	for _, tc := range []struct {
+		name string
+		edit func(*domainPoint)
+		want int
+	}{
+		{"slow-baseline", func(pt *domainPoint) { pt.WallMS *= 1000 }, 0},
+		{"fast-baseline", func(pt *domainPoint) { pt.WallMS = 0.001 }, 1},
+		{"flipped-hash", func(pt *domainPoint) {
+			pt.WallMS *= 1000
+			// Change every digit: '0' becomes '1', anything else '0'.
+			pt.TraceHash = strings.Map(func(r rune) rune {
+				if r == '0' {
+					return '1'
+				}
+				return '0'
+			}, pt.TraceHash)
+		}, 1},
+	} {
+		var rep domainBenchReport
+		if err := json.Unmarshal(buf, &rep); err != nil {
+			t.Fatal(err)
+		}
+		edited := false
+		for i := range rep.Points {
+			if pt := &rep.Points[i]; pt.Suite == "fig8geo-cell" && pt.Domains == 1 {
+				tc.edit(pt)
+				edited = true
+			}
+		}
+		if !edited {
+			t.Fatal("capture has no fig8geo-cell domains=1 row")
+		}
+		enc, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := dir + "/" + tc.name + ".json"
+		if err := os.WriteFile(path, enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code := run([]string{"-run", "geobench", "-gate", path}); code != tc.want {
+			t.Errorf("%s: azbench -run geobench -gate exited %d, want %d", tc.name, code, tc.want)
+		}
 	}
 }
 

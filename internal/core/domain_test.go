@@ -1,86 +1,45 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
 	"azureobs/internal/sim"
 )
 
-// domainRuns executes the domain-capable golden configs at the given
-// (workers, domains) point. The three runs cover the three sharding shapes:
-// fig1 proc clients, fig1 flat clients (seed7 exercises actors under the
-// windowed coordinator), and fig2's driver-process phase sequencing.
-func domainRuns(workers, domains int) map[string]Result {
-	w := func(p Proto) Proto {
-		p.Workers = workers
-		p.Domains = domains
-		return p
-	}
-	return map[string]Result{
-		"fig1/seed42": RunFig1(Fig1Config{
-			Proto: w(Proto{Seed: 42, Clients: []int{1, 8, 32, 64, 128, 192}, Runs: 1}), BlobMB: 32}),
-		"fig1/seed7": RunFig1(Fig1Config{
-			Proto: w(Proto{Seed: 7, Clients: []int{1, 64, 192}, Runs: 2, Flat: true}), BlobMB: 16}),
-		"fig2/seed42": RunFig2(Fig2Config{
-			Proto: w(Proto{Seed: 42, Clients: []int{1, 8, 64}}), EntitySize: 4096,
-			Inserts: 40, Queries: 40, Updates: 20}),
-	}
-}
+// domainGoldens are the golden runs whose units shard over sim.Domains:
+// fig1's flat-actor clients under the windowed coordinator (two seeds),
+// fig2's driver-process phase sequencing, and the fig2sizes sweep's
+// flattened (size, level) grid.
+var domainGoldens = []string{"fig1/seed42", "fig1/seed7", "fig2/seed42", "fig2sizes/seed11"}
 
-func domainEncodings(workers, domains int) map[string][]byte {
-	out := map[string][]byte{}
-	for k, r := range domainRuns(workers, domains) {
-		g := newGoldenHasher()
-		encodeResult(g, r)
-		out[k] = append([]byte(nil), g.bytes()...)
-	}
-	return out
-}
-
-// TestDomainEquivalence is the tentpole acceptance test: fig1 and fig2
-// cells sharded over domains ∈ {1, 2, 4}, across scheduler widths ∈ {1, 4},
-// produce byte-identical result encodings — and identical anchors — to the
-// legacy single-engine path, and the non-flat runs still reproduce the
-// recorded golden trace hashes exactly.
+// TestDomainEquivalence is the domain layer's acceptance test: fig1, fig2
+// and fig2sizes cells sharded over domains ∈ {2, 4}, across scheduler
+// widths ∈ {1, 4}, reproduce the recorded golden trace hashes exactly and
+// the anchors of the width-1 run.
 func TestDomainEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("domain equivalence sweeps are slow")
 	}
-	baseline := domainEncodings(1, 0) // legacy path, serial pool
+	serial := goldenRuns(1, 1)
 	baseAnchors := map[string][]Anchor{}
-	for k, r := range domainRuns(1, 0) {
-		baseAnchors[k] = r.Anchors()
+	for _, k := range domainGoldens {
+		_, baseAnchors[k] = goldenHash(serial[k])
 	}
-
 	for _, workers := range []int{1, 4} {
-		for _, domains := range []int{1, 2, 4} {
-			got := domainEncodings(workers, domains)
-			for k, enc := range got {
-				if !bytes.Equal(enc, baseline[k]) {
-					t.Errorf("workers=%d domains=%d: %s encoding differs from legacy path",
-						workers, domains, k)
+		for _, domains := range []int{2, 4} {
+			runs := goldenRuns(workers, domains)
+			for _, k := range domainGoldens {
+				got, anchors := goldenHash(runs[k])
+				if want := goldenTraces[k]; got != want {
+					t.Errorf("workers=%d domains=%d: %s = %#016x, want recorded golden %#016x",
+						workers, domains, k, got, want)
 				}
-			}
-			for k, r := range domainRuns(workers, domains) {
-				a, b := r.Anchors(), baseAnchors[k]
-				if fmt.Sprint(a) != fmt.Sprint(b) {
+				if fmt.Sprint(anchors) != fmt.Sprint(baseAnchors[k]) {
 					t.Errorf("workers=%d domains=%d: %s anchors differ:\n%v\n%v",
-						workers, domains, k, a, b)
+						workers, domains, k, anchors, baseAnchors[k])
 				}
 			}
-		}
-	}
-
-	// The sweep's seed42 runs use the exact golden configs, so their hashes
-	// must equal the recorded seed-solver captures — the domain refactor
-	// cannot have moved the baseline it is being compared against.
-	for _, key := range []string{"fig1/seed42", "fig2/seed42"} {
-		g := newGoldenHasher()
-		g.write(baseline[key])
-		if got, want := g.sum(), goldenTraces[key]; got != want {
-			t.Errorf("legacy %s = %#016x, want recorded golden %#016x", key, got, want)
 		}
 	}
 }

@@ -69,27 +69,14 @@ type fig1Cell struct {
 
 // RunFig1 executes the blob bandwidth sweep. Cells — one per (level, run)
 // pair — are independent simulations with seeds derived only from the
-// run index, so they shard over cfg.Workers; the per-level summaries are
-// then merged in the serial order, keeping results bit-identical at any
-// worker count.
+// run index; their rounds shard over sim.Domains groups of width
+// cfg.Domains and the groups over cfg.Workers, and the per-level summaries
+// are then merged in the serial order, keeping results bit-identical at
+// every (workers, domains) combination.
 func RunFig1(cfg Fig1Config) *Fig1Result {
 	cfg = cfg.withDefaults()
 	runs := cfg.Runs
-	pool := sched.New(cfg.Workers)
-	var cells []fig1Cell
-	if cfg.Domains > 0 {
-		cells = runFig1Domains(cfg, pool)
-	} else {
-		cells = sched.Map(pool, len(cfg.Clients)*runs, func(i int) fig1Cell {
-			n, run := cfg.Clients[i/runs], i%runs
-			var c fig1Cell
-			c.down, c.downAgg = fig1Download(cfg, n, run)
-			if !cfg.SkipUpload {
-				c.up, c.upAgg = fig1Upload(cfg, n, run)
-			}
-			return c
-		})
-	}
+	cells := fig1Cells(cfg, sched.New(cfg.Workers))
 
 	res := &Fig1Result{}
 	for li, n := range cfg.Clients {
@@ -115,11 +102,9 @@ func RunFig1(cfg Fig1Config) *Fig1Result {
 }
 
 // fig1Round is one download or upload round mid-flight: the world is built
-// and the clients are in the calendar, but the round's engine has not yet
-// drained. The legacy serial path runs the engine itself; the domain path
-// hands the engine to a sim.Domains group and harvests via finish after the
-// group run. Both paths execute the identical build sequence, which is what
-// keeps their traces byte-identical.
+// and the clients are in the calendar, but the round's engine — a member of
+// a sim.Domains group — has not yet drained. The group run drives it, and
+// finish harvests the round afterwards.
 type fig1Round struct {
 	cloud   *azure.Cloud
 	per     *metrics.Summary
@@ -135,10 +120,8 @@ func (r *fig1Round) finish() (*metrics.Summary, float64) {
 }
 
 // fig1DownloadStart builds one download round — n clients fetching the same
-// blob — on eng (nil: a fresh standalone engine). The shared blob is staged
-// untimed with a build-time drain; a domain member engine supports that
-// exactly like a standalone one, and the group run later resumes it at its
-// advanced clock.
+// blob — on eng. The shared blob is staged untimed with a build-time drain;
+// the group run later resumes the member engine at its advanced clock.
 func fig1DownloadStart(cfg Fig1Config, n, run int, eng *sim.Engine) *fig1Round {
 	r := &fig1Round{cloud: fig1CloudOn(eng, cfg, run), per: &metrics.Summary{}}
 	cloud := r.cloud
@@ -160,40 +143,14 @@ func fig1DownloadStart(cfg Fig1Config, n, run int, eng *sim.Engine) *fig1Round {
 	}
 
 	vms := cloud.Controller.ReadyFleet(n, fabric.Worker, fabric.Small)
-	if cfg.Flat {
-		r.flats = make([]fig1FlatClient, n)
-		for i := 0; i < n; i++ {
-			fc := &r.flats[i]
-			fc.init(cloud, vms[i], i, r.per, &r.total, &r.lastEnd)
-			fc.download("bench", "shared-1g")
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			cl := cloud.NewClient(vms[i], i)
-			cloud.Engine.Spawn(fmt.Sprintf("dl%d", i), func(p *sim.Proc) {
-				start := p.Now()
-				got, err := cl.GetBlob(p, "bench", "shared-1g")
-				if err != nil {
-					panic(err)
-				}
-				elapsed := (p.Now() - start).Seconds()
-				r.per.Add(float64(got) / 1e6 / elapsed)
-				r.total += got
-				if end := p.Now().Seconds(); end > r.lastEnd {
-					r.lastEnd = end
-				}
-			})
-		}
+	r.flats = make([]fig1FlatClient, n)
+	for i := range r.flats {
+		fc := &r.flats[i]
+		fc.init(cloud, vms[i], i, r.per, &r.total, &r.lastEnd)
+		fc.download("bench", "shared-1g")
 	}
 	r.base = cloud.Engine.Now().Seconds()
 	return r
-}
-
-// fig1Download runs one download round to completion on its own engine.
-func fig1Download(cfg Fig1Config, n, run int) (*metrics.Summary, float64) {
-	r := fig1DownloadStart(cfg, n, run, nil)
-	r.cloud.Engine.Run()
-	return r.finish()
 }
 
 // fig1Agg computes a round's aggregate MB/s. A degenerate cell (zero
@@ -206,10 +163,10 @@ func fig1Agg(totalBytes int64, lastEnd, base float64) float64 {
 	return float64(totalBytes) / 1e6 / (lastEnd - base)
 }
 
-// fig1FlatClient is one fig1 client compiled onto the flat-actor path: the
-// same azure request the goroutine client issues, with completion handled by
-// cached continuations instead of a parked process. One struct (in the
-// round's slice) plus three cached closures is the entire per-client cost.
+// fig1FlatClient is one fig1 client, a flat actor: its azure request
+// completes through cached continuations instead of a parked process. One
+// struct (in the round's slice) plus three cached closures is the entire
+// per-client cost.
 type fig1FlatClient struct {
 	a     sim.Actor
 	cl    *azure.Client
@@ -269,56 +226,30 @@ func (fc *fig1FlatClient) finish(size int64, err error) {
 }
 
 // fig1UploadStart builds one upload round — n clients pushing distinct
-// blobs into one container — on eng (nil: a fresh standalone engine).
+// blobs into one container — on eng.
 func fig1UploadStart(cfg Fig1Config, n, run int, eng *sim.Engine) *fig1Round {
 	r := &fig1Round{cloud: fig1CloudOn(eng, cfg, run+7919), per: &metrics.Summary{}}
 	cloud := r.cloud
 	cloud.Blob.CreateContainer("bench")
 	size := cfg.BlobMB * netsim.MB
 	vms := cloud.Controller.ReadyFleet(n, fabric.Worker, fabric.Small)
-	if cfg.Flat {
-		r.flats = make([]fig1FlatClient, n)
-		for i := 0; i < n; i++ {
-			fc := &r.flats[i]
-			fc.init(cloud, vms[i], i, r.per, &r.total, &r.lastEnd)
-			fc.uploadBlob("bench", fmt.Sprintf("upload-%d", i), size)
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			i := i
-			cl := cloud.NewClient(vms[i], i)
-			cloud.Engine.Spawn(fmt.Sprintf("ul%d", i), func(p *sim.Proc) {
-				start := p.Now()
-				if err := cl.PutBlob(p, "bench", fmt.Sprintf("upload-%d", i), size, true); err != nil {
-					panic(err)
-				}
-				elapsed := (p.Now() - start).Seconds()
-				r.per.Add(float64(size) / 1e6 / elapsed)
-				r.total += size
-				if end := p.Now().Seconds(); end > r.lastEnd {
-					r.lastEnd = end
-				}
-			})
-		}
+	r.flats = make([]fig1FlatClient, n)
+	for i := range r.flats {
+		fc := &r.flats[i]
+		fc.init(cloud, vms[i], i, r.per, &r.total, &r.lastEnd)
+		fc.uploadBlob("bench", fmt.Sprintf("upload-%d", i), size)
 	}
 	r.base = cloud.Engine.Now().Seconds()
 	return r
 }
 
-// fig1Upload runs one upload round to completion on its own engine.
-func fig1Upload(cfg Fig1Config, n, run int) (*metrics.Summary, float64) {
-	r := fig1UploadStart(cfg, n, run, nil)
-	r.cloud.Engine.Run()
-	return r.finish()
-}
-
-// runFig1Domains is RunFig1's cell computation with intra-cell parallelism:
-// each (level, run, direction) round is one self-contained simulation unit,
-// and units shard across sim.Domains groups of width cfg.Domains (batches of
-// groups in turn shard over the scheduler pool). Unit traces are identical
-// to the serial path's rounds — same cloud seed, same build sequence — so
-// the reassembled cells are bit-identical at every domain count.
-func runFig1Domains(cfg Fig1Config, pool *sched.Pool) []fig1Cell {
+// fig1Cells is RunFig1's cell computation: each (level, run, direction)
+// round is one self-contained simulation unit, and units shard across
+// sim.Domains groups of width cfg.Domains (batches of groups in turn shard
+// over the scheduler pool). A unit's trace depends only on its cloud seed
+// and build sequence, so the reassembled cells are bit-identical at every
+// domain count.
+func fig1Cells(cfg Fig1Config, pool *sched.Pool) []fig1Cell {
 	runs := cfg.Runs
 	dirs := 2
 	if cfg.SkipUpload {
@@ -356,15 +287,11 @@ func runFig1Domains(cfg Fig1Config, pool *sched.Pool) []fig1Cell {
 	return cells
 }
 
-// fig1CloudOn builds a round's cloud on eng, or on a fresh standalone
-// engine when eng is nil (the legacy serial path).
+// fig1CloudOn builds a round's cloud on eng.
 func fig1CloudOn(eng *sim.Engine, cfg Fig1Config, salt int) *azure.Cloud {
 	ccfg := azure.Config{Seed: cfg.Seed + uint64(salt)*1_000_003}
 	ccfg.Fabric = fabric.DefaultConfig()
 	ccfg.Fabric.Degradation = false
-	if eng == nil {
-		return azure.NewCloud(ccfg)
-	}
 	return azure.NewCloudOn(eng, ccfg)
 }
 

@@ -1,88 +1,38 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"runtime"
 	"testing"
 	"time"
 )
 
-// flatHash runs fig1 with the given knobs and returns the golden-encoded
-// byte stream plus its hash, and the anchors derived from the result.
-func fig1Encoded(cfg Fig1Config) ([]byte, uint64, []Anchor) {
-	res := RunFig1(cfg)
-	g := newGoldenHasher()
-	encodeResult(g, res)
-	return g.bytes(), g.sum(), res.Anchors()
-}
-
-// TestFlatEquivalence is the tentpole's hard requirement: fig1 run on the
-// flat-actor path must produce a byte-identical golden encoding (every
-// float64 bit pattern, in insertion order) and identical anchors to the
-// goroutine path, at every scheduler width. A single differing draw or
-// reordered event anywhere in the flat request path shows up here.
-func TestFlatEquivalence(t *testing.T) {
+// TestFlatGoldenHashes pins fig1's flat-actor clients to the recorded
+// golden hashes at every scheduler width the former goroutine-vs-flat
+// comparison swept: the flat path must reproduce the exact seed-solver
+// traces, whether its rounds run serially or on a pool.
+func TestFlatGoldenHashes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("flat equivalence sweep is slow")
-	}
-	base := Fig1Config{
-		Proto:  Proto{Seed: 42, Clients: []int{1, 8, 32}, Runs: 2},
-		BlobMB: 16,
+		t.Skip("trace goldens are slow")
 	}
 	for _, workers := range []int{1, 2, 4} {
-		cfg := base
-		cfg.Workers = workers
-
-		goroBytes, goroHash, goroAnchors := fig1Encoded(cfg)
-
-		cfg.Flat = true
-		flatBytes, flatHash, flatAnchors := fig1Encoded(cfg)
-
-		if !bytes.Equal(goroBytes, flatBytes) {
-			t.Fatalf("workers=%d: flat trace diverges from goroutine trace (hashes %#016x vs %#016x)",
-				workers, flatHash, goroHash)
-		}
-		if len(flatAnchors) != len(goroAnchors) {
-			t.Fatalf("workers=%d: anchor count %d (flat) vs %d (goroutine)",
-				workers, len(flatAnchors), len(goroAnchors))
-		}
-		for i := range goroAnchors {
-			if flatAnchors[i] != goroAnchors[i] {
-				t.Errorf("workers=%d: anchor %q = %+v (flat), want %+v",
-					workers, goroAnchors[i].Name, flatAnchors[i], goroAnchors[i])
+		runs := goldenRuns(workers, 1)
+		for _, name := range []string{"fig1/seed42", "fig1/seed7"} {
+			got, _ := goldenHash(runs[name])
+			if want := goldenTraces[name]; got != want {
+				t.Errorf("workers=%d: flat %s = %#016x, want %#016x (flat path not bit-identical to seed trace)",
+					workers, name, got, want)
 			}
 		}
 	}
 }
 
-// TestFlatGoldenHashes pins flat mode to the recorded golden hashes: the
-// flat path must reproduce the exact seed-solver traces, not merely agree
-// with whatever the goroutine path currently does.
-func TestFlatGoldenHashes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trace goldens are slow")
-	}
-	runs := map[string]Fig1Config{
-		"fig1/seed42": {
-			Proto: Proto{Seed: 42, Clients: []int{1, 8, 32, 64, 128, 192}, Runs: 1, Flat: true}, BlobMB: 32},
-		"fig1/seed7": {
-			Proto: Proto{Seed: 7, Clients: []int{1, 64, 192}, Runs: 2, Flat: true}, BlobMB: 16},
-	}
-	for name, cfg := range runs {
-		_, got, _ := fig1Encoded(cfg)
-		if want := goldenTraces[name]; got != want {
-			t.Errorf("flat %s = %#016x, want %#016x (flat path not bit-identical to seed trace)", name, got, want)
-		}
-	}
-}
-
-// TestFlatNoGoroutineLeak checks that the flat path runs clients without
-// spawning a goroutine per client: the process's goroutine count after a
-// flat round settles back to (at most) where it started.
+// TestFlatNoGoroutineLeak checks that fig1 runs its flat-actor clients
+// without spawning a goroutine per client: the process's goroutine count
+// after a round settles back to (at most) where it started.
 func TestFlatNoGoroutineLeak(t *testing.T) {
 	cfg := Fig1Config{
-		Proto:      Proto{Seed: 42, Clients: []int{64}, Runs: 1, Flat: true},
+		Proto:      Proto{Seed: 42, Clients: []int{64}, Runs: 1},
 		BlobMB:     4,
 		SkipUpload: true,
 	}
@@ -94,13 +44,13 @@ func TestFlatNoGoroutineLeak(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("flat fig1 leaked goroutines: %d before, %d after", before, after)
+		t.Fatalf("fig1 leaked goroutines: %d before, %d after", before, after)
 	}
 }
 
 // TestFig1AggDegenerate pins the scale-exposed NaN fix: a cell that moves
 // no bytes over no elapsed time reports aggregate 0, not 0/0 = NaN, and a
-// zero-client sweep produces finite (zero) point fields in both modes.
+// zero-client sweep produces finite (zero) point fields.
 func TestFig1AggDegenerate(t *testing.T) {
 	if agg := fig1Agg(0, 0, 0); agg != 0 {
 		t.Fatalf("fig1Agg(0,0,0) = %v, want 0", agg)
@@ -111,21 +61,19 @@ func TestFig1AggDegenerate(t *testing.T) {
 	if agg := fig1Agg(1_000_000, 3, 1); agg != 0.5 {
 		t.Fatalf("fig1Agg(1MB over 2s) = %v, want 0.5", agg)
 	}
-	for _, flat := range []bool{false, true} {
-		cfg := Fig1Config{
-			Proto:      Proto{Seed: 42, Clients: []int{0}, Runs: 1, Flat: flat},
-			BlobMB:     4,
-			SkipUpload: true,
-		}
-		res := RunFig1(cfg)
-		if len(res.Points) != 1 {
-			t.Fatalf("flat=%v: got %d points, want 1", flat, len(res.Points))
-		}
-		p := res.Points[0]
-		for _, v := range []float64{p.DownMBps, p.DownAggMBps, p.UpMBps, p.UpAggMBps, p.DownMBpsStddev} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("flat=%v: zero-client point has non-finite field: %+v", flat, p)
-			}
+	cfg := Fig1Config{
+		Proto:      Proto{Seed: 42, Clients: []int{0}, Runs: 1},
+		BlobMB:     4,
+		SkipUpload: true,
+	}
+	res := RunFig1(cfg)
+	if len(res.Points) != 1 {
+		t.Fatalf("got %d points, want 1", len(res.Points))
+	}
+	p := res.Points[0]
+	for _, v := range []float64{p.DownMBps, p.DownAggMBps, p.UpMBps, p.UpAggMBps, p.DownMBpsStddev} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("zero-client point has non-finite field: %+v", p)
 		}
 	}
 }

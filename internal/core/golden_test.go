@@ -215,6 +215,11 @@ func encodeGeoReport(g *goldenHasher, r *geo.Report) {
 // Any future drift here under a chaos-related diff means that isolation
 // broke.
 //
+// fig1's flat-actor clients and the sim.Domains groups fig1, fig2 and
+// fig2sizes run in must reproduce hashes captured from goroutine clients on
+// a standalone engine. fig2sizes/seed11 is the registry sweep at
+// reducedProto scale (whose seed is 11).
+//
 // fig1 (both seeds), replication, propfilter and sqlcompare were regenerated
 // when the storage services moved onto the reqpath pipeline: blob request
 // latency, table scan latency and the SQL handshake now draw from dedicated
@@ -226,6 +231,7 @@ var goldenTraces = map[string]uint64{
 	"fig1/seed42":        0xaf4a3dddc3b41031,
 	"fig1/seed7":         0x5791b04a862afec3,
 	"fig2/seed42":        0xcb599ca2efbae722,
+	"fig2sizes/seed11":   0x69603ce85ebe1971,
 	"fig3/seed42":        0x8a623ee40b857a3a,
 	"propfilter/seed42":  0xc6dbf6abef0a04af,
 	"queuedepth/seed42":  0xb23d12bd169dadbb,
@@ -235,44 +241,74 @@ var goldenTraces = map[string]uint64{
 	"tcp/seed42":         0x78f20dbc473c956b,
 }
 
-// goldenConfigs builds the fixed reduced-scale runs the goldens hash. The
-// scheduler width is the only knob the golden harness varies: at any
-// width the hashes must match the serial captures above.
-func goldenRuns(workers int) map[string]Result {
+// goldenRuns builds the fixed reduced-scale runs the goldens hash, each as
+// a thunk so a test can run a subset. The scheduler and domain widths are
+// the only knobs the golden harness varies: at any (workers, domains) the
+// hashes must match the serial captures above.
+func goldenRuns(workers, domains int) map[string]func() Result {
 	w := func(p Proto) Proto {
 		p.Workers = workers
+		p.Domains = domains
 		return p
 	}
-	return map[string]Result{
-		"fig1/seed42": RunFig1(Fig1Config{
-			Proto: w(Proto{Seed: 42, Clients: []int{1, 8, 32, 64, 128, 192}, Runs: 1}), BlobMB: 32}),
-		"fig1/seed7": RunFig1(Fig1Config{
-			Proto: w(Proto{Seed: 7, Clients: []int{1, 64, 192}, Runs: 2}), BlobMB: 16}),
-		"fig2/seed42": RunFig2(Fig2Config{
-			Proto: w(Proto{Seed: 42, Clients: []int{1, 8, 64}}), EntitySize: 4096,
-			Inserts: 40, Queries: 40, Updates: 20}),
-		"fig3/seed42": RunFig3(Fig3Config{
-			Proto: w(Proto{Seed: 42, Clients: []int{1, 16, 64, 192}}), MsgSize: 512, OpsEach: 25}),
-		"tcp/seed42": RunTCP(TCPConfig{
-			Proto: w(Proto{Seed: 42}), LatencySamples: 500, BandwidthPairs: 40, TransfersPer: 2}),
-		"replication/seed42": RunReplication(ReplicationConfig{
-			Proto: w(Proto{Seed: 42}), Clients: 64, BlobMB: 32, Replicas: []int{1, 4}}),
-		"table1/seed42": RunTable1(Table1Config{Proto: w(Proto{Seed: 42, Runs: 16})}),
-		"propfilter/seed42": RunPropFilter(PropFilterConfig{
-			Proto: w(Proto{Seed: 42, Clients: []int{1, 32}}), Entities: 60000}),
-		"queuedepth/seed42": RunQueueDepth(QueueDepthConfig{
-			Proto: w(Proto{Seed: 42}), SmallDepth: 5000, LargeDepth: 50000}),
-		"sqlcompare/seed42": RunSQLCompare(SQLCompareConfig{
-			Proto: w(Proto{Seed: 42, Clients: []int{1, 64}}), OpsEach: 25}),
+	return map[string]func() Result{
+		"fig1/seed42": func() Result {
+			return RunFig1(Fig1Config{
+				Proto: w(Proto{Seed: 42, Clients: []int{1, 8, 32, 64, 128, 192}, Runs: 1}), BlobMB: 32})
+		},
+		"fig1/seed7": func() Result {
+			return RunFig1(Fig1Config{
+				Proto: w(Proto{Seed: 7, Clients: []int{1, 64, 192}, Runs: 2}), BlobMB: 16})
+		},
+		"fig2/seed42": func() Result {
+			return RunFig2(Fig2Config{
+				Proto: w(Proto{Seed: 42, Clients: []int{1, 8, 64}}), EntitySize: 4096,
+				Inserts: 40, Queries: 40, Updates: 20})
+		},
+		"fig2sizes/seed11": func() Result {
+			e, _ := Lookup("fig2sizes")
+			return e.Run(w(reducedProto("fig2sizes")))
+		},
+		"fig3/seed42": func() Result {
+			return RunFig3(Fig3Config{
+				Proto: w(Proto{Seed: 42, Clients: []int{1, 16, 64, 192}}), MsgSize: 512, OpsEach: 25})
+		},
+		"tcp/seed42": func() Result {
+			return RunTCP(TCPConfig{
+				Proto: w(Proto{Seed: 42}), LatencySamples: 500, BandwidthPairs: 40, TransfersPer: 2})
+		},
+		"replication/seed42": func() Result {
+			return RunReplication(ReplicationConfig{
+				Proto: w(Proto{Seed: 42}), Clients: 64, BlobMB: 32, Replicas: []int{1, 4}})
+		},
+		"table1/seed42": func() Result { return RunTable1(Table1Config{Proto: w(Proto{Seed: 42, Runs: 16})}) },
+		"propfilter/seed42": func() Result {
+			return RunPropFilter(PropFilterConfig{
+				Proto: w(Proto{Seed: 42, Clients: []int{1, 32}}), Entities: 60000})
+		},
+		"queuedepth/seed42": func() Result {
+			return RunQueueDepth(QueueDepthConfig{
+				Proto: w(Proto{Seed: 42}), SmallDepth: 5000, LargeDepth: 50000})
+		},
+		"sqlcompare/seed42": func() Result {
+			return RunSQLCompare(SQLCompareConfig{
+				Proto: w(Proto{Seed: 42, Clients: []int{1, 64}}), OpsEach: 25})
+		},
 	}
+}
+
+// goldenHash runs one golden thunk and returns its trace hash and anchors.
+func goldenHash(run func() Result) (uint64, []Anchor) {
+	r := run()
+	g := newGoldenHasher()
+	encodeResult(g, r)
+	return g.sum(), r.Anchors()
 }
 
 func traceHashes(workers int) map[string]uint64 {
 	out := map[string]uint64{}
-	for k, r := range goldenRuns(workers) {
-		g := newGoldenHasher()
-		encodeResult(g, r)
-		out[k] = g.sum()
+	for k, run := range goldenRuns(workers, 1) {
+		out[k], _ = goldenHash(run)
 	}
 	return out
 }

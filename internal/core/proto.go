@@ -49,19 +49,12 @@ type Proto struct {
 	Scale Scale // which protocol variant a registry Run expands to
 	Size  int   // payload-size override in bytes (blob/entity/message); 0 = scale default
 
-	// Flat runs each client as a kernel-driven flat actor instead of a
-	// goroutine process, where the experiment supports it (fig1). Traces are
-	// bit-identical either way; flat mode exists for client counts where a
-	// goroutine per client is too expensive.
-	Flat bool
-
-	// Domains shards each cell's independent simulation units across a
-	// sim.Domains group of this width, where the experiment supports it
-	// (fig1, fig2): units run concurrently inside the deterministic windowed
-	// coordinator instead of serially on one engine. 0 keeps the legacy
-	// single-engine path; traces are bit-identical at every width. Composes
-	// with Workers — cells shard over the pool, units within a cell over
-	// domains.
+	// Domains shards each cell's independent simulation units across
+	// sim.Domains groups of this width, where the experiment supports it
+	// (fig1, fig2, fig2sizes): units run concurrently inside the
+	// deterministic windowed coordinator. ≤1 = one engine: each unit runs
+	// alone in a width-1 group. Traces are bit-identical at every width. Composes with Workers — groups shard over the pool,
+	// units within a group over domains.
 	Domains int
 
 	// DomainStats, when non-nil, accumulates coordinator accounting
@@ -93,7 +86,6 @@ func (p Proto) Apply(base Proto) Proto {
 	}
 	base.Scale = p.Scale
 	base.Size = p.Size
-	base.Flat = p.Flat
 	base.Domains = p.Domains
 	base.DomainStats = p.DomainStats
 	return base

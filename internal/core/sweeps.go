@@ -22,8 +22,9 @@ type Fig2SizeSweep struct {
 }
 
 // RunFig2Sizes executes the entity-size sweep with a shared base config.
-// The (size, level) grid is flattened into one pool so a sweep saturates
-// base.Workers even when single sizes have few ladder levels.
+// The (size, level) grid is flattened into one domainBatches call so a
+// sweep saturates base.Workers even when single sizes have few ladder
+// levels.
 func RunFig2Sizes(base Fig2Config, sizes []int) *Fig2SizeSweep {
 	if sizes == nil {
 		sizes = PaperEntitySizes()
@@ -36,11 +37,7 @@ func RunFig2Sizes(base Fig2Config, sizes []int) *Fig2SizeSweep {
 		cfgs[si] = cfg.withDefaults()
 	}
 	levels := len(cfgs[0].Clients)
-	pool := sched.New(base.Workers)
-	pts := sched.Map(pool, len(sizes)*levels, func(i int) Fig2Point {
-		cfg := cfgs[i/levels]
-		return runFig2Level(cfg, cfg.Clients[i%levels])
-	})
+	pts := fig2Levels(cfgs)
 	sw := &Fig2SizeSweep{Sizes: sizes}
 	for si, s := range sizes {
 		sw.Results = append(sw.Results, &Fig2Result{

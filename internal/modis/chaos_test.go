@@ -62,6 +62,20 @@ func TestChaosDisabledTraceIsolation(t *testing.T) {
 	}
 }
 
+// TestChaosReportConfigForKeepsCaller pins the merge direction of the
+// registry expansion: the caller's seed and scheduler width override the
+// paper defaults, and an unset seed falls back to the paper's 42.
+func TestChaosReportConfigForKeepsCaller(t *testing.T) {
+	cfg := ChaosReportConfigFor(core.Proto{Seed: 7, Workers: 4, Scale: core.QuickScale})
+	if cfg.Seed != 7 || cfg.Workers != 4 || cfg.Days != 7 {
+		t.Fatalf("caller knobs lost: seed %d workers %d days %d, want 7, 4, 7",
+			cfg.Seed, cfg.Workers, cfg.Days)
+	}
+	if cfg := ChaosReportConfigFor(core.Proto{Workers: 2}); cfg.Seed != 42 || cfg.Workers != 2 {
+		t.Fatalf("defaults: seed %d workers %d, want 42, 2", cfg.Seed, cfg.Workers)
+	}
+}
+
 // The same chaos campaign must be bit-identical at scheduler widths 1, 2 and
 // 4 — the chaosreport scenario cells are independent simulations, so sharding
 // them cannot change any result (the modis extension of core's

@@ -20,9 +20,10 @@ type ChaosReportConfig struct {
 	CampaignWorkers int // worker-role instances per campaign (not Proto.Workers)
 }
 
-// ChaosReportConfigFor expands a Proto at the requested scale.
+// ChaosReportConfigFor expands a Proto at the requested scale: the caller's
+// knobs (seed, workers) are merged over the paper defaults.
 func ChaosReportConfigFor(p core.Proto) ChaosReportConfig {
-	cfg := ChaosReportConfig{Proto: core.Defaults().Apply(p)}
+	cfg := ChaosReportConfig{Proto: p.Apply(core.Defaults())}
 	switch p.Scale {
 	case core.QuickScale:
 		cfg.Days, cfg.CampaignWorkers = 7, 30
@@ -93,7 +94,9 @@ type ChaosReportResult struct {
 }
 
 // RunChaosReport executes the ablation, sharding scenario cells over
-// cfg.Workers scheduler workers. Each cell enables the simulation invariant
+// cfg.Workers scheduler workers. Every campaign runs on one engine whatever
+// cfg.Domains asks: a sharded campaign runs one crash process per shard
+// fabric, so sharding would change the fault schedule the anchors count. Each cell enables the simulation invariant
 // harness in recording mode, so the experiment's headline anchor — zero
 // invariant violations across every fault mix — is checked on every run.
 func RunChaosReport(cfg ChaosReportConfig) *ChaosReportResult {
@@ -119,7 +122,6 @@ func RunChaosReport(cfg ChaosReportConfig) *ChaosReportResult {
 			MeanRequestGap:      100 * time.Minute,
 			MeanTasksPerRequest: 140,
 			Chaos:               sc.cfg(),
-			Domains:             cfg.Proto.Domains,
 		})
 		// Recording mode: a violation must not abort the campaign mid-fault —
 		// the whole point is counting what survives. (If a test binary turned
